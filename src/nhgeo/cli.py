@@ -2,7 +2,8 @@
 
 Subcommands: generate, verify, flow, geroch, expr check.
 Exit codes: 0 all checks pass, 1 residual failure, 2 configuration error,
-3 degenerate recipe, 4 evaluation error, 5 unverified transform potentials.
+3 degenerate recipe, 4 evaluation error, 5 unverified transform potentials,
+6 internal error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from . import geroch as gr
 from . import ricci_flow as rf
 from . import serialize as ser
 from .geometry import canonical_dconnection, check_lc_compatibility, curvature_ricci
-from .numerics import ResidualReport, evaluate_on_grid, reports_to_json
+from .numerics import (ResidualReport, evaluate_on_grid, grid_report,
+                       reports_to_json)
 
 EXIT_PASS = 0
 EXIT_RESIDUAL = 1
@@ -28,6 +30,7 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_EVAL = 4
 EXIT_POTENTIALS = 5
+EXIT_INTERNAL = 6
 
 CSV_COLUMNS = ("x1", "x2", "x3", "v", "y5", "chi")
 
@@ -64,54 +67,29 @@ def _locate_eval_error(gm, grid, err) -> str:
 # verification core (shared by verify/generate pipelines)
 # ---------------------------------------------------------------------------
 
-def _ricci_layout_reports(gm, source, grid, tol, jobs, params=None):
+def _ricci_layout_reports(gm, ric, source, grid, tol, jobs, params=None):
     """Engine Ricci residuals against the diagonal source layout (in Ricci
     form: R^2_2 = R^3_3 = -Y4, S^4_4 = S^5_5 = -Y2, everything else zero)."""
-    chart = gm.chart
-    conn = canonical_dconnection(gm.metric, gm.nconn, chart)
-    ric = curvature_ricci(conn, gm.metric, gm.nconn, chart)
-    cols = grid.arrays()
-    n, m = chart.n, chart.m
+    n, m = gm.chart.n, gm.chart.m
     u2, u4 = source.upsilon2, source.upsilon4
-
-    def rep(label, exprs):
-        vals = None
-        for e in exprs:
-            vv = np.abs(evaluate_on_grid(e, cols, jobs=jobs, extra=params))
-            vals = vv if vals is None else np.maximum(vals, vv)
-        return ResidualReport.from_grid(label, cols, vals, tol)
-
-    def mixed_h(i):
-        return ric.mixed_h(gm.metric, i, i)
-
-    def mixed_v(a):
-        return ric.mixed_v(gm.metric, a, a)
-
-    reports = []
     hat = range(n - 2, n)  # the two curved h-directions (x2, x3)
-    reports.append(rep("R22+Y4", [ex.add(mixed_h(i), u4) for i in hat]))
+    groups = [("R22+Y4", [ex.add(ric.mixed_h(gm.metric, i, i), u4) for i in hat])]
     if n == 3:
-        reports.append(rep("R11", [mixed_h(0)]))
-    reports.append(rep("S44+Y2", [ex.add(mixed_v(a), u2) for a in range(m)]))
-    reports.append(rep("R4i", [ric.ah(0, i) for i in range(n)]))
-    reports.append(rep("R5i", [ric.ah(1, i) for i in range(n)]))
-    rest = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rest.append(ric.hh(i, j))
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                rest.append(ric.vv(a, b))
-    for i in range(n):
-        for a in range(m):
-            rest.append(ric.ha(i, a))
-    reports.append(rep("ricci-rest", rest))
-    return reports
+        groups.append(("R11", [ric.mixed_h(gm.metric, 0, 0)]))
+    rest = [ric.hh(i, j) for i in range(n) for j in range(n) if i != j]
+    rest += [ric.vv(a, b) for a in range(m) for b in range(m) if a != b]
+    rest += [ric.ha(i, a) for i in range(n) for a in range(m)]
+    groups += [("S44+Y2", [ex.add(ric.mixed_v(gm.metric, a, a), u2)
+                           for a in range(m)]),
+               ("R4i", [ric.ah(0, i) for i in range(n)]),
+               ("R5i", [ric.ah(1, i) for i in range(n)]),
+               ("ricci-rest", rest)]
+    cols = grid.arrays()
+    return [grid_report(label, exprs, cols, tol, extra=params, jobs=jobs)
+            for label, exprs in groups]
 
 
-def _oracle_reports(gm, grid, tol, rng, points):
+def _oracle_reports(gm, ric, grid, tol, rng, points):
     """Engine mixed components against the closed-form reductions at random
     points inside the grid box (relative agreement)."""
     chart = gm.chart
@@ -126,8 +104,6 @@ def _oracle_reports(gm, grid, tol, rng, points):
     for p in chart.params:
         pts[p] = rng.uniform(0.0, 1.0, size=points)
 
-    conn = canonical_dconnection(gm.metric, gm.nconn, chart)
-    ric = curvature_ricci(conn, gm.metric, gm.nconn, chart)
     g22 = gm.metric.g[n - 2][n - 2]
     g33 = gm.metric.g[n - 1][n - 1]
     h4, h5 = gm.metric.h[0][0], gm.metric.h[1][1]
@@ -143,10 +119,8 @@ def _oracle_reports(gm, grid, tol, rng, points):
                       gen.closed_r5i(h4, h5, gm.nconn.entry(i, 1))))
     out = []
     for label, engine, closed in pairs:
-        e = np.asarray(ex.evaluate(engine, pts), dtype=float)
-        c = np.asarray(ex.evaluate(closed, pts), dtype=float)
-        e, c = np.broadcast_arrays(np.broadcast_to(e, (points,)),
-                                   np.broadcast_to(c, (points,)))
+        e = evaluate_on_grid(engine, pts)
+        c = evaluate_on_grid(closed, pts)
         rel = np.abs(e - c) / (1.0 + np.abs(c))
         out.append(ResidualReport.from_grid(label, pts, rel, tol))
     return out
@@ -163,11 +137,14 @@ def verification_reports(gm, source, grid, tol, jobs=1, seed=0,
     ``params`` binds declared parameter names (theta components, chi) to
     values for the grid-based groups; the oracle group samples them."""
     reports = []
+    if "ricci" in checks or "oracles" in checks:
+        conn = canonical_dconnection(gm.metric, gm.nconn, gm.chart)
+        ric = curvature_ricci(conn, gm.metric, gm.nconn, gm.chart)
     if "ricci" in checks:
-        reports += _ricci_layout_reports(gm, source, grid, tol, jobs, params)
+        reports += _ricci_layout_reports(gm, ric, source, grid, tol, jobs, params)
     if "oracles" in checks:
         rng = np.random.default_rng(seed)
-        reports += _oracle_reports(gm, grid, oracle_tol, rng, oracle_points)
+        reports += _oracle_reports(gm, ric, grid, oracle_tol, rng, oracle_points)
     if "lc" in checks:
         reports += check_lc_compatibility(gm.metric, gm.nconn, gm.chart,
                                           grid, tol, extra=params)
@@ -318,7 +295,6 @@ def cmd_geroch(args) -> int:
         steps_doc = [{"kind": "geroch", "theta": float(cfg.get("theta", 0.0)),
                       "potentials": ser._need(cfg, "potentials", "transform config")}]
 
-    all_reports = []
     steps = []
     for k, sd in enumerate(steps_doc):
         kind = sd.get("kind", "geroch")
@@ -339,25 +315,15 @@ def cmd_geroch(args) -> int:
         else:
             raise ser.ConfigError(f"unknown step kind {kind!r}")
 
-    if xi is not None:
-        all_reports.append(gr.killing_residual(gm, xi, grid, tol))
-
-    current = gm
-    for step in steps:
-        if isinstance(step, gr.GerochStep):
-            checks = gr.geroch_residuals(current, step.xi, step.potentials,
-                                         grid, tol)
-            all_reports.extend(checks)
-            current = gr.apply_geroch(current, step.xi, step.potentials,
-                                      step.theta, checks=checks, grid=grid)
-        else:
-            current = gr.nonholonomic_deform(current, step.polarizations)
+    reports = [gr.killing_residual(gm, xi, grid, tol)] if xi is not None else []
+    current, checks = gr.apply_chain(gm, steps, grid, tol)
+    reports += checks
 
     out = args.out or "transformed.json"
     ser.dump_json(out, ser.metric_to_dict(current))
     if args.report:
-        _write_csv(args.report, all_reports)
-    ok = _summarize(all_reports)
+        _write_csv(args.report, reports)
+    ok = _summarize(reports)
     print(f"wrote {out}")
     return EXIT_PASS if ok else EXIT_RESIDUAL
 
@@ -440,6 +406,10 @@ def main(argv=None) -> int:
     except ex.EvalError as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL
+    except Exception as err:  # a bug, never a residual failure
+        message = " ".join(str(err).splitlines())
+        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

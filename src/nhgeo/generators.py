@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import expr as ex
 from .geometry import (Chart, DMetric, NConnection, chart_4d, chart_5d,
                        coordinate_metric)
-from .numerics import Grid, GridExclusionError, ResidualReport
+from .numerics import Grid, GridExclusionError, ResidualReport, grid_report
 
 __all__ = [
     "DegenerateRecipe", "PhiConstant", "Source", "SolutionRecipe5D",
@@ -389,14 +389,6 @@ def generate_4d(recipe: SolutionRecipe5D, src: Source,
 # Levi-Civita-compatible 4D families
 # ---------------------------------------------------------------------------
 
-def _report(label: str, expr_: ex.Expr, grid: Grid, tol: float, extra=None):
-    import numpy as np
-    cols = grid.arrays()
-    vals = ex.evaluate(expr_, {**cols, **(extra or {})})
-    vals = np.broadcast_to(np.asarray(vals), (grid.size,))
-    return ResidualReport.from_grid(label, cols, vals, tol)
-
-
 def vanishes_on_grid(e: ex.Expr, grid: Grid, extra=None, eps: float = 1e-12) -> bool:
     """Numeric probe: the expression is zero everywhere on the grid.
 
@@ -445,11 +437,9 @@ def generate_vacuum_lc(recipe: VacuumLCRecipe, grid: Grid, tol: float = 1e-10,
     w_compat = ex.add(_d3(w2), ex.neg(_d2(w3)),
                       ex.mul(w3, _dv(w2)), ex.neg(ex.mul(w2, _dv(w3))))
     n_curl = ex.sub(_d3(recipe.n2), _d2(recipe.n3))
-    reports = [
-        _report("psi-harmonic", harmonic, grid, tol, extra),
-        _report("w-compat", w_compat, grid, tol, extra),
-        _report("n-curl", n_curl, grid, tol, extra),
-    ]
+    cols = grid.arrays()
+    reports = [grid_report(label, [e], cols, tol, extra) for label, e in (
+        ("psi-harmonic", harmonic), ("w-compat", w_compat), ("n-curl", n_curl))]
     return metric, reports
 
 
@@ -510,23 +500,13 @@ def generate_sourced_lc(recipe: SourcedLCRecipe, grid: Grid, tol: float = 1e-10,
     transport5 = {name: ex.sub(_di(h5, name), ex.mul(wk, h5s))
                   for name, wk in (("x2", w2), ("x3", w3))}
 
-    import numpy as np
     cols = grid.arrays()
-
-    def combined(label, exprs):
-        vals = None
-        for e in exprs:
-            vv = np.abs(np.broadcast_to(
-                np.asarray(ex.evaluate(e, {**cols, **(extra or {})})), (grid.size,)))
-            vals = vv.copy() if vals is None else np.maximum(vals, vv)
-        return ResidualReport.from_grid(label, cols, vals, tol)
-
-    reports = [
-        _report("psi-equation", psi_eq, grid, tol, extra),
-        _report("v-coupling", v_eq, grid, tol, extra),
-        _report("w-compat", w_compat, grid, tol, extra),
-        _report("n-curl", n_curl, grid, tol, extra),
-        combined("h4-transport", [transport4["x2"], transport4["x3"]]),
-        combined("h5-transport", [transport5["x2"], transport5["x3"]]),
-    ]
+    reports = [grid_report(label, exprs, cols, tol, extra) for label, exprs in (
+        ("psi-equation", [psi_eq]),
+        ("v-coupling", [v_eq]),
+        ("w-compat", [w_compat]),
+        ("n-curl", [n_curl]),
+        ("h4-transport", [transport4["x2"], transport4["x3"]]),
+        ("h5-transport", [transport5["x2"], transport5["x3"]]),
+    )]
     return metric, reports

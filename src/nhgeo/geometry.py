@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .numerics import Grid, ResidualReport
+from .numerics import Grid, grid_report
 
 __all__ = [
     "Chart", "NConnection", "DMetric", "Anholonomy", "DConnection",
@@ -808,19 +808,6 @@ def adapted_from_coordinate(table, chart: Chart, N: NConnection) -> tuple:
 # compatibility checks
 # ---------------------------------------------------------------------------
 
-def _max_abs_over(exprs, cols, extra=None) -> np.ndarray:
-    some = [e for e in exprs if not _is_zero(e)]
-    size = max((np.asarray(v).size for v in cols.values()), default=1)
-    if not some:
-        return np.zeros(size)
-    env = {**cols, **(extra or {})}
-    vals = None
-    for v in ex.evaluate_many(some, env):
-        v = np.abs(np.broadcast_to(np.asarray(v), (size,)))
-        vals = v.copy() if vals is None else np.maximum(vals, v)
-    return vals
-
-
 def check_lc_compatibility(g: DMetric, N: NConnection, chart: Chart, grid: Grid,
                            tol: float = 1e-12, extra=None) -> list:
     """Three residual reports whose joint passing certifies that the canonical
@@ -834,13 +821,11 @@ def check_lc_compatibility(g: DMetric, N: NConnection, chart: Chart, grid: Grid,
 
     omega_comps = [anh.omega[a][i][j]
                    for a in range(m) for i in range(n) for j in range(n)]
-    rep1 = ResidualReport.from_grid("foliation(Omega)", cols,
-                                    _max_abs_over(omega_comps, cols, extra), tol)
+    rep1 = grid_report("foliation(Omega)", omega_comps, cols, tol, extra)
 
     conn = canonical_dconnection(g, N, chart)
     chb = [conn.c_h[i][j][b] for i in range(n) for j in range(n) for b in range(m)]
-    rep2 = ResidualReport.from_grid("mixing(C^i_kb)", cols,
-                                    _max_abs_over(chb, cols, extra), tol)
+    rep2 = grid_report("mixing(C^i_kb)", chb, cols, tol, extra)
 
     comps = []
     for k in range(n):
@@ -853,6 +838,5 @@ def check_lc_compatibility(g: DMetric, N: NConnection, chart: Chart, grid: Grid,
                     t = ex.sub(t, ex.mul(g.h[dd][b],
                                          ex.diff(N.entry(k, dd), chart.y_names[c])))
                 comps.append(ex.simplify(t))
-    rep3 = ResidualReport.from_grid("v-metric transport", cols,
-                                    _max_abs_over(comps, cols, extra), tol)
+    rep3 = grid_report("v-metric transport", comps, cols, tol, extra)
     return [rep1, rep2, rep3]

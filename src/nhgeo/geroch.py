@@ -23,14 +23,14 @@ from .generators import GeneratedMetric
 from .geometry import (Chart, DMetric, NConnection, SingularMetric,
                        coordinate_christoffels, coordinate_metric,
                        coordinate_metric_inverse, sym_inverse, _sym_det)
-from .numerics import Grid, ResidualReport
+from .numerics import Grid, ResidualReport, grid_report
 
 __all__ = [
     "KillingData", "GerochPotentials", "Polarizations", "FrameMatrices",
     "GerochStep", "DeformStep", "PotentialsNotVerified",
     "DegenerateDenominator", "SignatureMismatch", "ZeroPolarization",
     "killing_residual", "geroch_residuals", "apply_geroch", "solve_vielbein",
-    "nonholonomic_deform", "superpose", "drop_trivial_x1",
+    "nonholonomic_deform", "apply_chain", "superpose", "drop_trivial_x1",
     "dmetric_from_coordinate",
 ]
 
@@ -174,19 +174,6 @@ def _perm_sign(p) -> int:
     return sign
 
 
-def _max_report(label, exprs, grid, tol, extra=None):
-    cols = grid.arrays()
-    vals = None
-    live = [e for e in exprs if not (isinstance(e, ex.Const) and e.value == 0.0)]
-    if not live:
-        vals = np.zeros(grid.size)
-    for e in live:
-        vv = np.abs(np.broadcast_to(
-            np.asarray(ex.evaluate(e, {**cols, **(extra or {})})), (grid.size,)))
-        vals = vv.copy() if vals is None else np.maximum(vals, vv)
-    return ResidualReport.from_grid(label, cols, vals, tol)
-
-
 def killing_residual(gm: GeneratedMetric, xi: KillingData, grid: Grid,
                      tol: float = 1e-10, extra=None) -> ResidualReport:
     """max over the grid of |nabla_a xi_b + nabla_b xi_a| (all components)."""
@@ -195,7 +182,7 @@ def killing_residual(gm: GeneratedMetric, xi: KillingData, grid: Grid,
     nx = _nabla_covector(xi.xi, christ, chart)
     comps = [ex.simplify(ex.add(nx[a][b], nx[b][a]))
              for a in range(d) for b in range(a, d)]
-    return _max_report("killing", comps, grid, tol, extra)
+    return grid_report("killing", comps, grid.arrays(), tol, extra)
 
 
 def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
@@ -264,13 +251,14 @@ def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
         ex.add(*(ex.mul(xi_up[a], pot.mu[a]) for a in range(d))),
         ex.add(ex.pow_(lam_g, 2), ex.pow_(pot.omega, 2), -1)))
 
-    return [
-        _max_report("twist-gradient", eq1, grid, tol, extra),
-        _max_report("alpha-curl", eq2, grid, tol, extra),
-        _max_report("mu-curl", eq3, grid, tol, extra),
-        _max_report("omega-algebraic", [alg1], grid, tol, extra),
-        _max_report("mu-algebraic", [alg2], grid, tol, extra),
-    ]
+    cols = grid.arrays()
+    return [grid_report(label, exprs, cols, tol, extra) for label, exprs in (
+        ("twist-gradient", eq1),
+        ("alpha-curl", eq2),
+        ("mu-curl", eq3),
+        ("omega-algebraic", [alg1]),
+        ("mu-algebraic", [alg2]),
+    )]
 
 
 def _snap(e: ex.Expr, eps: float = 1e-13) -> ex.Expr:
@@ -488,26 +476,36 @@ class DeformStep:
     label: str = "deform"
 
 
-def superpose(seed: GeneratedMetric, steps: Sequence, grid: Grid,
-              tol: float = 1e-8, extra=None) -> GeneratedMetric:
+def apply_chain(seed: GeneratedMetric, steps: Sequence, grid: Grid,
+                tol: float = 1e-8, extra=None) -> tuple:
     """Left-to-right application of transform steps; each transform step
-    re-verifies its potentials against the current metric. The provenance
-    records the ordered parameter list of the chain."""
+    re-verifies its potentials against the current metric. Returns the final
+    metric and the potential-check reports of all transform steps, in order."""
     current = seed
-    chain = []
+    reports = []
     for step in steps:
         if isinstance(step, GerochStep):
             checks = geroch_residuals(current, step.xi, step.potentials, grid,
                                       tol, extra=extra)
+            reports.extend(checks)
             current = apply_geroch(current, step.xi, step.potentials,
                                    step.theta, checks=checks, grid=grid,
                                    extra=extra)
-            chain.append({"kind": "geroch", "theta": step.theta})
         elif isinstance(step, DeformStep):
             current = nonholonomic_deform(current, step.polarizations)
-            chain.append({"kind": "deform"})
         else:
             raise TypeError(f"unknown transform step {type(step).__name__}")
+    return current, reports
+
+
+def superpose(seed: GeneratedMetric, steps: Sequence, grid: Grid,
+              tol: float = 1e-8, extra=None) -> GeneratedMetric:
+    """apply_chain, with the ordered parameter list of the chain recorded in
+    the provenance."""
+    current, _ = apply_chain(seed, steps, grid, tol, extra)
+    chain = [{"kind": "geroch", "theta": step.theta}
+             if isinstance(step, GerochStep) else {"kind": "deform"}
+             for step in steps]
     prov = dict(current.provenance)
     prov["chain"] = chain or [{"kind": "identity"}]
     return GeneratedMetric(current.chart, current.metric, current.nconn,

@@ -4,7 +4,8 @@ The generator formulas need definite integrals along the anisotropy
 coordinate v; everything here is plain adaptive Simpson with a Richardson
 error estimate. Residual checks over grids are collected in ResidualReport
 objects, the toolkit's universal notion of "this metric solves equation X
-to tolerance tau".
+to tolerance tau". grid_report is the only path from expressions to a
+max-abs ResidualReport.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import expr as ex
 __all__ = [
     "Quadrature", "Grid", "ResidualReport", "MaxDepthExceeded",
     "GridExclusionError", "adaptive_simpson", "integrate_v",
-    "antiderivative_profile", "DEFAULT_QUADRATURE",
+    "antiderivative_profile", "DEFAULT_QUADRATURE", "grid_report",
 ]
 
 
@@ -273,10 +274,6 @@ def reports_to_json(reports: Sequence[ResidualReport]) -> str:
                        "pass": all(r.passed for r in reports)}, indent=2)
 
 
-def max_failures(reports: Sequence[ResidualReport]) -> list:
-    return [r for r in reports if not r.passed]
-
-
 def chunk_slices(total: int, jobs: int) -> list:
     """Static partition of range(total) into at most ``jobs`` contiguous slices."""
     jobs = max(1, min(jobs, total)) if total else 1
@@ -309,3 +306,25 @@ def evaluate_on_grid(e: ex.Expr, cols: Mapping[str, np.ndarray], jobs: int = 1,
     with ThreadPoolExecutor(max_workers=len(slices)) as pool:
         list(pool.map(work, slices))
     return out
+
+
+def grid_report(label: str, exprs: Iterable[ex.Expr],
+                cols: Mapping[str, np.ndarray], tol: float,
+                extra: Mapping[str, float] | None = None,
+                jobs: int = 1) -> ResidualReport:
+    """Report of max |e| over ``exprs`` at every grid point.
+
+    Structurally zero expressions are skipped; the rest are evaluated one at
+    a time. ``cols`` are the report's columns, ``extra`` binds further names
+    for evaluation only.
+    """
+    vals = None
+    for e in exprs:
+        if isinstance(e, ex.Const) and e.value == 0.0:
+            continue
+        vv = np.abs(evaluate_on_grid(e, cols, jobs=jobs, extra=extra))
+        vals = vv if vals is None else np.maximum(vals, vv)
+    if vals is None:
+        sizes = [v.size for v in cols.values() if isinstance(v, np.ndarray)]
+        vals = np.zeros(sizes[0] if sizes else 1)
+    return ResidualReport.from_grid(label, cols, vals, tol)

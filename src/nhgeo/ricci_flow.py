@@ -25,7 +25,7 @@ from .generators import DegenerateRecipe, GeneratedMetric, aux_coeffs
 from .geometry import (DMetric, NConnection, canonical_dconnection, chart_4d,
                        chart_5d, coordinate_lc_ricci, coordinate_metric,
                        curvature_ricci)
-from .numerics import Grid, ResidualReport
+from .numerics import Grid, ResidualReport, grid_report
 
 __all__ = [
     "FlowFamily", "FlowRecipe", "LCFlowRecipe", "NonDiagonalFamily",
@@ -100,14 +100,6 @@ def _stacked_cols(grid: Grid, chi_samples: Sequence[float], extra=None) -> dict:
     return out
 
 
-def _stacked_max(exprs, cols, size) -> np.ndarray:
-    vals = None
-    for e in exprs:
-        vv = np.abs(np.broadcast_to(np.asarray(ex.evaluate(e, cols)), (size,)))
-        vals = vv.copy() if vals is None else np.maximum(vals, vv)
-    return vals if vals is not None else np.zeros(size)
-
-
 # ---------------------------------------------------------------------------
 # evolution residuals
 # ---------------------------------------------------------------------------
@@ -154,13 +146,9 @@ def flow_residuals(fam: FlowFamily, grid: Grid,
     chis = tuple(chi_samples) if chi_samples is not None else fam.chi_samples
     eq_h, eq_v, off = flow_residual_components(fam)
     cols = _stacked_cols(grid, chis, extra)
-    size = grid.size * len(chis)
-    return [
-        ResidualReport.from_grid("evol-h", cols, _stacked_max(eq_h, cols, size), tol),
-        ResidualReport.from_grid("evol-v", cols, _stacked_max(eq_v, cols, size), tol),
-        ResidualReport.from_grid("ricci-offdiag", cols,
-                                 _stacked_max(off, cols, size), tol),
-    ]
+    return [grid_report("evol-h", eq_h, cols, tol),
+            grid_report("evol-v", eq_v, cols, tol),
+            grid_report("ricci-offdiag", off, cols, tol)]
 
 
 def hamilton_residual_components(fam: FlowFamily):
@@ -182,10 +170,7 @@ def hamilton_residual(fam: FlowFamily, grid: Grid,
     chis = tuple(chi_samples) if chi_samples is not None else fam.chi_samples
     comps = hamilton_residual_components(fam)
     cols = _stacked_cols(grid, chis, extra)
-    size = grid.size * len(chis)
-    flat = [c for row in comps for c in row]
-    return ResidualReport.from_grid("hamilton", cols,
-                                    _stacked_max(flat, cols, size), tol)
+    return grid_report("hamilton", [c for row in comps for c in row], cols, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +273,6 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
     metric.check_grid(grid, extra={CHI: float(chi_samples[0]), **(extra or {})})
 
     cols = _stacked_cols(grid, chi_samples, extra)
-    size = grid.size * len(chi_samples)
 
     if not ex.is_zero(recipe.n2fn):
         # C(x2,x3) = h5 * indefinite integral of h4/(sqrt|h5|)^3 must be
@@ -296,8 +280,7 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
         # is equivalent to d_v [ d_v(h5 I) / h5* ] = 0 for the definite I.
         prof = ex.mul(h5, ex.intv(n_integrand, recipe.v0))
         c_resid = _dv(ex.div(_dv(prof), h5s))
-        crep = ResidualReport.from_grid(
-            "quadrature-compat", cols, _stacked_max([c_resid], cols, size), tol)
+        crep = grid_report("quadrature-compat", [c_resid], cols, tol)
         if not crep.passed:
             raise QuadratureCompatibilityError(crep)
 
@@ -305,8 +288,7 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
     rfea1 = ex.add(ex.mul(e2, _d2(_d2(lnv))), ex.mul(e3, _d3(_d3(lnv))),
                    ex.mul(-2.0, recipe.lam),
                    ex.mul(h5, _dchi(ex.pow_(n2, 2))))
-    rep = ResidualReport.from_grid(
-        "h-compat", cols, _stacked_max([rfea1], cols, size), tol)
+    rep = grid_report("h-compat", [rfea1], cols, tol)
     if not rep.passed:
         raise HorizontalCompatibilityError(rep)
 
@@ -335,7 +317,6 @@ def build_lc_flow(recipe: LCFlowRecipe, grid: Grid, chi_samples: Sequence[float]
     metric.check_grid(grid, extra={CHI: float(chi_samples[0]), **(extra or {})})
 
     cols = _stacked_cols(grid, chi_samples, extra)
-    size = grid.size * len(chi_samples)
 
     psi_eq = ex.sub(ex.add(ex.mul(e2, _d2(_d2(recipe.psi))),
                            ex.mul(e3, _d3(_d3(recipe.psi)))), recipe.lam)
@@ -354,19 +335,13 @@ def build_lc_flow(recipe: LCFlowRecipe, grid: Grid, chi_samples: Sequence[float]
     transports5 = [ex.sub(ex.diff(h5, name), ex.mul(wk, h5s))
                    for name, wk in (("x2", recipe.w2), ("x3", recipe.w3))]
 
-    reports = [
-        ResidualReport.from_grid("psi-equation", cols,
-                                 _stacked_max([psi_eq], cols, size), tol),
-        ResidualReport.from_grid("v-coupling", cols,
-                                 _stacked_max([v_eq], cols, size), tol),
-        ResidualReport.from_grid("w-compat", cols,
-                                 _stacked_max([w_compat], cols, size), tol),
-        ResidualReport.from_grid("n-evolution", cols,
-                                 _stacked_max([n_eq], cols, size), tol),
-        ResidualReport.from_grid("h4-transport", cols,
-                                 _stacked_max(transports, cols, size), tol),
-        ResidualReport.from_grid("h5-transport", cols,
-                                 _stacked_max(transports5, cols, size), tol),
-    ]
+    reports = [grid_report(label, exprs, cols, tol) for label, exprs in (
+        ("psi-equation", [psi_eq]),
+        ("v-coupling", [v_eq]),
+        ("w-compat", [w_compat]),
+        ("n-evolution", [n_eq]),
+        ("h4-transport", transports),
+        ("h5-transport", transports5),
+    )]
     fam = FlowFamily(metric, recipe.lam, tuple(float(c) for c in chi_samples))
     return fam, reports

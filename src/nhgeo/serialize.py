@@ -74,6 +74,18 @@ def _signatures(d: Mapping, count: int):
     return tuple(int(s) for s in sig)
 
 
+def _function_reader(fns: Mapping, allowed):
+    """fn(key, default) parses recipe function ``key``; an absent key gives
+    the constant ``default``, or a ConfigError when there is none."""
+    def fn(key, default=None):
+        if key not in fns:
+            if default is None:
+                raise ConfigError(f"missing function {key!r}")
+            return ex.const(default)
+        return parse_expr(fns[key], allowed, f"functions.{key}")
+    return fn
+
+
 _GEN_VARS = ("x1", "x2", "x3", "v", "y5")
 _GEN_VARS_4D = ("x2", "x3", "v", "y5")
 
@@ -86,13 +98,7 @@ def recipe_from_dict(d: Mapping):
 
     if family in ("gensol1_5d", "gensol1_4d"):
         allowed = (_GEN_VARS if family == "gensol1_5d" else _GEN_VARS_4D) + params
-
-        def fn(key, default=None):
-            if key not in fns:
-                if default is None:
-                    raise ConfigError(f"missing function {key!r}")
-                return ex.const(default)
-            return parse_expr(fns[key], allowed, f"functions.{key}")
+        fn = _function_reader(fns, allowed)
 
         ks = ("1", "2", "3")
         recipe = gen.SolutionRecipe5D(
@@ -107,13 +113,7 @@ def recipe_from_dict(d: Mapping):
 
     if family == "vacuum_lc":
         allowed = _GEN_VARS_4D + params
-
-        def fn(key, default=None):
-            if key not in fns:
-                if default is None:
-                    raise ConfigError(f"missing function {key!r}")
-                return ex.const(default)
-            return parse_expr(fns[key], allowed, f"functions.{key}")
+        fn = _function_reader(fns, allowed)
 
         recipe = gen.VacuumLCRecipe(
             signatures=_signatures(d, 4),
@@ -124,13 +124,7 @@ def recipe_from_dict(d: Mapping):
 
     if family == "sourced_lc":
         allowed = _GEN_VARS_4D + params
-
-        def fn(key, default=None):
-            if key not in fns:
-                if default is None:
-                    raise ConfigError(f"missing function {key!r}")
-                return ex.const(default)
-            return parse_expr(fns[key], allowed, f"functions.{key}")
+        fn = _function_reader(fns, allowed)
 
         src = source_from_dict(d.get("source"), allowed)
         recipe = gen.SourcedLCRecipe(
@@ -150,13 +144,7 @@ def flow_recipe_from_dict(d: Mapping):
 
     if family == "flow_solrf1":
         allowed = _GEN_VARS + ("chi",) + params
-
-        def fn(key, default=None):
-            if key not in fns:
-                if default is None:
-                    raise ConfigError(f"missing function {key!r}")
-                return ex.const(default)
-            return parse_expr(fns[key], allowed, f"functions.{key}")
+        fn = _function_reader(fns, allowed)
 
         return family, rf.FlowRecipe(
             signatures=_signatures(d, 5),
@@ -167,13 +155,7 @@ def flow_recipe_from_dict(d: Mapping):
 
     if family == "flow_lc":
         allowed = _GEN_VARS_4D + ("chi",) + params
-
-        def fn(key, default=None):
-            if key not in fns:
-                if default is None:
-                    raise ConfigError(f"missing function {key!r}")
-                return ex.const(default)
-            return parse_expr(fns[key], allowed, f"functions.{key}")
+        fn = _function_reader(fns, allowed)
 
         return family, rf.LCFlowRecipe(
             signatures=_signatures(d, 4),

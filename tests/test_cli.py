@@ -146,6 +146,23 @@ class TestVerify:
         assert cli.main(["verify", "--config", vcfg,
                          "--out", str(tmp_path / "v.csv")]) == 1
 
+    def test_ricci_built_once(self, tmp_path, monkeypatch):
+        metric = self.make_metric(tmp_path)
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": metric, "grid": GRID5Y, "tolerance": 1e-8,
+                      "checks": ["ricci", "oracles"]})
+        calls = []
+        build = cli.curvature_ricci
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "curvature_ricci", counted)
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "v.csv")]) == 0
+        assert len(calls) == 1
+
     def test_csv_header_contract(self, tmp_path):
         metric = self.make_metric(tmp_path)
         vcfg = write(tmp_path, "verify.json",
@@ -232,9 +249,13 @@ class TestGeroch:
             ],
             "grid": GRID4, "tolerance": 1e-8})
         out = str(tmp_path / "t.json")
-        assert cli.main(["geroch", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["geroch", "--config", cfg, "--out", out,
+                         "--report", str(tmp_path / "checks.csv")]) == 0
         doc = json.loads((tmp_path / "t.json").read_text())
         assert doc["g"][0][0] == "2"
+        assert "chain" not in doc["provenance"]
+        report = (tmp_path / "checks.csv").read_text().splitlines()
+        assert report[1].startswith("killing,")
 
 
 class TestExpr:
@@ -254,6 +275,17 @@ class TestExpr:
 
     def test_unknown_variable_exit_2(self):
         assert cli.main(["expr", "check", "q + 1", "--vars", "v"]) == 2
+
+
+class TestInternalError:
+    def test_crash_exits_6_with_one_line(self, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setitem(cli._HANDLERS, "expr", crash)
+        assert cli.main(["expr", "check", "v"]) == cli.EXIT_INTERNAL == 6
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom second line\n"
 
 
 class TestMoreFamilies:

@@ -426,3 +426,90 @@ class TestMetricValidation:
         bad = geo.DMetric.diagonal([1, 1, 1], [ex.sub(V, 1), 1])  # h4(1) = 0
         with pytest.raises(geo.SingularMetric):
             bad.validate_invertible(grid)
+
+
+class TestSympyOracle:
+    """Coordinate Christoffels and Ricci against an independent oracle: sympy
+    assembles the coordinate metric from (g, h, N) and differentiates it;
+    numpy does the point algebra (inverse, Gamma, d Gamma, Ricci)."""
+
+    C4 = geo.chart_4d()
+
+    @staticmethod
+    def metric_strings(seed):
+        """A random 4D metric: diagonal g and h blocks, every one x- and
+        v-dependent, and all four N entries nonzero, so every coordinate
+        component is."""
+        c = [repr(float(x)) for x in np.random.default_rng(seed).uniform(0.1, 0.4, 11)]
+        g = [[f"exp({c[0]}*x2)*(1 + {c[1]}*x3)", "0"],
+             ["0", f"1 + {c[2]}*x2^2 + {c[3]}*v"]]
+        h = [[f"1 + {c[4]}*v^2 + {c[5]}*x2", "0"], ["0", f"2 + {c[6]}*x3*v"]]
+        N = [[f"{c[7]}*v*x2", f"{c[8]}*v^2"], [f"{c[9]}*x3", f"{c[10]}*x2*v"]]
+        return g, h, N
+
+    @staticmethod
+    def oracle(strings, names, points):
+        """(Gamma[c][a][b], R[b][t]) at each point."""
+        sp = pytest.importorskip("sympy")
+        syms = sp.symbols(names)
+        env = dict(zip(names, syms))
+        g, h, N = [sp.Matrix([[sp.sympify(s.replace("^", "**"), locals=env)
+                               for s in row] for row in rows]) for rows in strings]
+        G = sp.Matrix(sp.BlockMatrix([[g + N * h * N.T, N * h], [h * N.T, h]]))
+        d = len(names)
+        dG = [G.applyfunc(lambda e, x=x: e.diff(x)) for x in syms]
+        ddG = [[dG[k].applyfunc(lambda e, x=x: e.diff(x)) for x in syms]
+               for k in range(d)]
+        fG = sp.lambdify(syms, G, "numpy")
+        fdG = sp.lambdify(syms, dG, "numpy")
+        fddG = sp.lambdify(syms, ddG, "numpy")
+        out = []
+        for p in points:
+            at = [p[n] for n in names]
+            Gi = np.linalg.inv(np.asarray(fG(*at), dtype=float))
+            d1 = np.asarray(fdG(*at), dtype=float)         # d1[k, a, b] = d_k G_ab
+            d2 = np.asarray(fddG(*at), dtype=float)        # d2[k, l, a, b]
+            # lowered symbols [t, a, b] = (d_a G_tb + d_b G_ta - d_t G_ab) / 2
+            low = 0.5 * (d1.transpose(1, 0, 2) + d1.transpose(1, 2, 0) - d1)
+            dlow = 0.5 * (d2.transpose(0, 2, 1, 3) + d2.transpose(0, 2, 3, 1) - d2)
+            gam = np.einsum("ct,tab->cab", Gi, low)
+            dGi = -np.einsum("cs,ksu,ut->kct", Gi, d1, Gi)
+            dgam = (np.einsum("kct,tab->kcab", dGi, low)
+                    + np.einsum("ct,ktab->kcab", Gi, dlow))
+            # R_bt = d_a Gamma^a_bt - d_t Gamma^a_ba
+            #        + Gamma^m_bt Gamma^a_ma - Gamma^m_ba Gamma^a_mt
+            ric = (np.einsum("aabt->bt", dgam) - np.einsum("taba->bt", dgam)
+                   + np.einsum("mbt,ama->bt", gam, gam)
+                   - np.einsum("mba,amt->bt", gam, gam))
+            out.append((gam, ric))
+        return out
+
+    @pytest.mark.parametrize("seed", [3, 14, 15])
+    def test_christoffels_and_ricci(self, seed):
+        strings = self.metric_strings(seed)
+        names = self.C4.coord_names
+        pts = random_points(names, k=3, lo=0.6, hi=1.4, seed=seed)
+        want = self.oracle(strings, names, pts)
+        g, h, N = [[[ex.parse(s, names) for s in row] for row in rows]
+                   for rows in strings]
+        dm, nc = geo.DMetric.build(g, h), geo.NConnection.build(N)
+        C4 = self.C4
+        gamma = geo.coordinate_christoffels(geo.coordinate_metric(dm, nc, C4),
+                                            geo.coordinate_metric_inverse(dm, nc, C4), C4)
+        ricci = geo.coordinate_lc_ricci(dm, nc, self.C4)
+        d = self.C4.dim
+        cols = {n: np.array([p[n] for p in pts]) for n in names}
+        k = len(pts)
+
+        def at_points(exprs, shape):
+            vals = ex.evaluate_many(exprs, cols)
+            return np.array([np.broadcast_to(v, (k,)) for v in vals]).T.reshape(
+                k, *shape)
+
+        got_gam = at_points([gamma[c][a][b] for c in range(d) for a in range(d)
+                             for b in range(d)], (d, d, d))
+        got_ric = at_points([ricci[b][t] for b in range(d) for t in range(d)], (d, d))
+        for j, (gam, ric) in enumerate(want):
+            for got, ref in ((got_gam[j], gam), (got_ric[j], ric)):
+                assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < 1e-9
+            assert np.max(np.abs(ric)) > 1e-3  # the oracle sees real curvature

@@ -368,6 +368,23 @@ class TestSuperpose:
                 assert max_abs_at(ex.sub(gc[a][b], expected), PTS4[:2]) < 1e-11
         assert [s["kind"] for s in out.provenance["chain"]] == ["geroch", "geroch"]
 
+    def test_apply_chain_returns_step_checks(self):
+        seed = flat_seed()
+        steps = [gr.GerochStep(0.3, flat_xi(), flat_potentials()),
+                 gr.DeformStep(gr.Polarizations.identity(2, 2))]
+        out, reports = gr.apply_chain(seed, steps, GRID4)
+        assert [r.equation for r in reports] == [
+            "twist-gradient", "alpha-curl", "mu-curl", "omega-algebraic",
+            "mu-algebraic"]
+        assert all(r.passed for r in reports)
+        assert "chain" not in out.provenance
+        full = gr.superpose(seed, steps, GRID4)
+        printed = [[ex.to_str(c) for c in row]
+                   for m in (out, full) for row in m.metric.g + m.metric.h]
+        assert printed[:4] == printed[4:]
+        assert full.provenance["chain"] == [{"kind": "geroch", "theta": 0.3},
+                                            {"kind": "deform"}]
+
     def test_five_dimensional_seed_reduction(self):
         chart = geo.chart_5d()
         g = geo.DMetric.diagonal([1, 1, ex.exp(X2)], [1, V ** 2])

@@ -143,6 +143,30 @@ class TestResidualReport:
         assert np.array_equal(a, b)
 
 
+class TestGridReport:
+    def test_max_abs_over_expressions(self):
+        g = nm.Grid.build({"v": (0.5, 1.5, 3)})
+        cols = g.arrays()
+        rep = nm.grid_report("eq", [ex.sub(V, 1), ex.ZERO, ex.mul(-0.5, V)],
+                             cols, 0.6)
+        assert rep.columns == ("v",)
+        assert np.array_equal(rep.residuals, [0.5, 0.5, 0.75])
+        assert not rep.passed
+
+    def test_only_zero_expressions_give_zeros(self):
+        cols = nm.Grid.build({"v": (0.5, 1.5, 4)}).arrays()
+        rep = nm.grid_report("eq", [ex.ZERO, ex.ZERO], cols, 1e-12)
+        assert np.array_equal(rep.residuals, np.zeros(4)) and rep.passed
+        assert nm.grid_report("eq", [], cols, 1e-12).residuals.shape == (4,)
+
+    def test_extra_binds_without_becoming_a_column(self):
+        cols = nm.Grid.build({"v": (0.5, 1.5, 3)}).arrays()
+        e = ex.mul(ex.var("theta1"), V)
+        rep = nm.grid_report("eq", [e], cols, 1.0, extra={"theta1": 2.0})
+        assert rep.columns == ("v",)
+        assert np.array_equal(rep.residuals, [1.0, 2.0, 3.0])
+
+
 class TestReportSerialization:
     def test_json_summary(self):
         import json as _json
