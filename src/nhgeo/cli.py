@@ -37,10 +37,9 @@ CSV_COLUMNS = ("x1", "x2", "x3", "v", "y5", "chi")
 
 def _write_csv(path: str, reports) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["equation", *CSV_COLUMNS, "residual"])
+        csv.writer(fh).writerow(["equation", *CSV_COLUMNS, "residual"])
         for rep in reports:
-            writer.writerows(rep.csv_rows(CSV_COLUMNS))
+            fh.writelines(rep.csv_rows(CSV_COLUMNS))
 
 
 def _summarize(reports, out=None) -> bool:
@@ -51,15 +50,20 @@ def _summarize(reports, out=None) -> bool:
     return ok
 
 
-def _locate_eval_error(gm, grid, err) -> str:
-    """Best-effort pointwise localization of an evaluation failure."""
-    exprs = [c for row in (*gm.metric.g, *gm.metric.h, *gm.nconn.coeff) for c in row]
+def _locate_eval_error(gm, grid, err, params=None) -> str:
+    """Best-effort pointwise localization of an evaluation failure: the first
+    grid point at which a metric entry fails, and that entry."""
+    entries = [(f"{name}[{i}][{j}]", e)
+               for name, block in (("g", gm.metric.g), ("h", gm.metric.h),
+                                   ("N", gm.nconn.coeff))
+               for i, row in enumerate(block) for j, e in enumerate(row)]
     for point in grid.points():
-        try:
-            for e in exprs:
-                ex.evaluate(e, point)
-        except ex.EvalError:
-            return f"{err} at grid point {point}"
+        env = {**point, **(params or {})}
+        for name, e in entries:
+            try:
+                ex.evaluate(e, env)
+            except ex.EvalError:
+                return f"{err} in {name} = {ex.to_str(e)} at grid point {point}"
     return str(err)
 
 
@@ -214,7 +218,7 @@ def cmd_verify(args) -> int:
             oracle_tol=float(cfg.get("oracle_tolerance", 1e-9)),
             checks=checks, params=params or None)
     except ex.EvalError as err:
-        print(f"evaluation error: {_locate_eval_error(gm, grid, err)}",
+        print(f"evaluation error: {_locate_eval_error(gm, grid, err, params)}",
               file=sys.stderr)
         return EXIT_EVAL
     out = args.out or "verify.csv"

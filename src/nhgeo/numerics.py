@@ -10,6 +10,9 @@ max-abs ResidualReport.
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -223,6 +226,15 @@ class ResidualReport:
         return float(np.mean(np.abs(self.residuals))) if self.residuals.size else 0.0
 
     @property
+    def worst_at(self) -> dict | None:
+        """Coordinates of the first row with the largest |residual| (None
+        when there are no rows)."""
+        if not self.residuals.size:
+            return None
+        k = int(np.argmax(np.abs(self.residuals)))
+        return {c: float(v) for c, v in zip(self.columns, self.points[k])}
+
+    @property
     def passed(self) -> bool:
         return self.max_abs <= self.tolerance
 
@@ -247,26 +259,45 @@ class ResidualReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
             "points": int(self.residuals.size),
+            "worst_at": self.worst_at,
         }
 
     def csv_rows(self, all_columns: Sequence[str]) -> list:
-        """Rows under a fixed column layout; absent coordinates are blank."""
-        rows = []
-        col_index = {c: i for i, c in enumerate(self.columns)}
-        for k in range(self.residuals.size):
-            row = [self.equation]
-            for c in all_columns:
-                if c in col_index:
-                    row.append(format_float(self.points[k, col_index[c]]))
-                else:
-                    row.append("")
-            row.append(format_float(self.residuals[k]))
-            rows.append(row)
-        return rows
+        """One encoded CSV line per row under a fixed column layout; absent
+        coordinates are blank.
+
+        Lines end in CRLF, the label is quoted by the ``csv`` module's rules
+        and floats are ``repr`` text. Columns are formatted whole: each
+        distinct float64 bit pattern is formatted once (so -0.0 and 0.0 keep
+        their own text) and looked up for every row.
+        """
+        n = self.residuals.size
+        if not n:
+            return []
+        index = {c: i for i, c in enumerate(self.columns)}
+        fields = [itertools.repeat(_csv_field(self.equation), n)]
+        for c in all_columns:
+            fields.append(_float_texts(self.points[:, index[c]]) if c in index
+                          else itertools.repeat("", n))
+        fields.append(_float_texts(self.residuals, "\r\n"))
+        return list(map(",".join, zip(*fields)))
 
 
-def format_float(v: float) -> str:
-    return repr(float(v))
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a multi-field CSV row (written with a blank
+    second field, because csv writes a lone empty field as ``""``)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
+def _float_texts(col: np.ndarray, suffix: str = "") -> list:
+    """``repr(v) + suffix`` for every value of a float column."""
+    col = np.ascontiguousarray(col, dtype=np.float64)
+    _, first, inverse = np.unique(col.view(np.uint64), return_index=True,
+                                  return_inverse=True)
+    texts = np.array([repr(v) + suffix for v in col[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def reports_to_json(reports: Sequence[ResidualReport]) -> str:

@@ -1,9 +1,13 @@
 """Command-line pipelines: recipes in, metrics/CSV out, exit-code contract."""
 
+import csv
 import json
+
+import numpy as np
 
 from nhgeo import cli
 from nhgeo import serialize as ser
+from nhgeo.numerics import ResidualReport
 
 GRID5 = {n: {"min": 0.5, "max": 1.5, "count": 3}
          for n in ("x1", "x2", "x3", "v")}
@@ -88,6 +92,7 @@ class TestGenerate:
         assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
         doc = json.loads((tmp_path / "lc_metric.json").read_text())
         assert all(r["pass"] for r in doc["family_reports"])
+        assert all(set(r["worst_at"]) == set(GRID4) for r in doc["family_reports"])
 
 
 class TestVerify:
@@ -124,6 +129,18 @@ class TestVerify:
                      {"metric": metric, "grid": grid, "tolerance": 1e-8})
         assert cli.main(["verify", "--config", vcfg]) == 4
         assert "grid point" in capsys.readouterr().err
+
+    def test_eval_error_names_entry_and_point(self, tmp_path, capsys):
+        metric = self.make_metric(tmp_path)
+        doc = json.loads((tmp_path / "metric.json").read_text())
+        doc["h"][0][0] = "sqrt(v-1)"
+        bad = write(tmp_path, "metric_bad.json", doc)
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": bad, "grid": GRID5Y, "tolerance": 1e-8})
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "v.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "h[0][0] = sqrt(v - 1)" in err and "grid point" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         metric = self.make_metric(tmp_path)
@@ -337,6 +354,28 @@ class TestMoreFamilies:
         assert cli.main(["verify", "--config", vcfg,
                          "--out", str(tmp_path / "vp.csv")]) == 0
 
+    def test_eval_error_binds_params(self, tmp_path, capsys):
+        # h[0][0] depends on theta1; the locator must bind it to reach N
+        cfg = write(tmp_path, "rp.json", {
+            "family": "gensol1_5d", "signatures": [1, 1, 1, 1, 1],
+            "params": ["theta1"], "param_values": {"theta1": 0.4},
+            "functions": {"g2": "exp(x2)", "g3": "exp(x2)",
+                          "f": "v + theta1*x2*v^2"},
+            "v0": 1.0, "grid": GRID5})
+        out = str(tmp_path / "mp.json")
+        assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+        doc = json.loads((tmp_path / "mp.json").read_text())
+        assert "theta1" in doc["h"][0][0]
+        doc["N"][2][1] = "sqrt(v-1)"
+        bad = write(tmp_path, "bad.json", doc)
+        vcfg = write(tmp_path, "vp.json", {
+            "metric": bad, "grid": GRID5Y, "tolerance": 1e-8,
+            "params": {"theta1": 0.4}})
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "vp.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "N[2][1] = sqrt(v - 1)" in err and "grid point" in err
+
 
 class TestSummaryOutput:
     def test_verify_json_summary(self, tmp_path):
@@ -352,3 +391,93 @@ class TestSummaryOutput:
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["pass"] is True
         assert any(r["equation"] == "S44+Y2" for r in doc["reports"])
+        for r in doc["reports"]:
+            assert r["worst_at"] and all(0.5 <= x <= 1.5
+                                         for x in r["worst_at"].values())
+        ricci = next(r for r in doc["reports"] if r["equation"] == "R22+Y4")
+        assert set(ricci["worst_at"]) == set(GRID5Y)
+
+
+def reference_csv(path, reports):
+    """The row-by-row writer the columnar one replaced: csv.writer with
+    repr(float(v)) per field."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["equation", *cli.CSV_COLUMNS, "residual"])
+        for rep in reports:
+            index = {c: i for i, c in enumerate(rep.columns)}
+            for k in range(rep.residuals.size):
+                writer.writerow(
+                    [rep.equation]
+                    + [repr(float(rep.points[k, index[c]])) if c in index else ""
+                       for c in cli.CSV_COLUMNS]
+                    + [repr(float(rep.residuals[k]))])
+
+
+class TestCsvWriter:
+    """_write_csv is byte-identical to the row-by-row reference writer."""
+
+    def assert_matches_reference(self, tmp_path, reports):
+        cli._write_csv(str(tmp_path / "got.csv"), reports)
+        reference_csv(str(tmp_path / "want.csv"), reports)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        return got
+
+    def test_adversarial_reports(self, tmp_path):
+        odd = np.array([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2,
+                        -1.5, 2.0 ** 60, 1.0 / 3.0])
+        rng = np.random.default_rng(7)
+        x2 = rng.choice(odd, 200)
+        v = rng.choice(odd, 200)
+        res = rng.choice(np.concatenate([odd, [np.nan, np.inf, -np.inf]]), 200)
+        reports = [
+            ResidualReport.from_grid('a,"quoted" label', {"x2": x2, "v": v},
+                                     res, 1e-8),
+            ResidualReport.from_grid("plain", {"v": odd, "chi": odd[::-1]},
+                                     odd * -1.0, 1e-8),
+            ResidualReport.from_grid("empty", {"v": np.array([])},
+                                     np.array([]), 1e-8),
+            ResidualReport.from_grid("no-coords", {},
+                                     np.array([np.nan, -0.0, 0.0, 1e-5]), 1e-8),
+            ResidualReport.from_grid("line\r\nbreak", {"x1": odd[:2]},
+                                     odd[:2], 1e-8),
+        ]
+        got = self.assert_matches_reference(tmp_path, reports).decode()
+        assert '\r\n"a,""quoted"" label",,' in got
+        assert "\r\nno-coords,,,,,,,nan\r\n" in got
+        assert "empty" not in got
+        assert len(reports[0].csv_rows(cli.CSV_COLUMNS)) == 200
+
+    def test_real_reports(self, tmp_path, monkeypatch):
+        captured = []
+        write_csv = cli._write_csv
+
+        def spy(path, reports):
+            captured.append(list(reports))
+            write_csv(path, reports)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        recipe = write(tmp_path, "recipe.json", vacuum_recipe())
+        metric = str(tmp_path / "metric.json")
+        assert cli.main(["generate", "--config", recipe, "--out", metric]) == 0
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": metric, "grid": GRID5Y, "tolerance": 1e-8})
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "v.csv")]) == 0
+        fcfg = write(tmp_path, "flow.json", TestFlow().flow_cfg())
+        assert cli.main(["flow", "--config", fcfg,
+                         "--out", str(tmp_path / "f.csv")]) == 0
+        seed = write(tmp_path, "seed.json", flat_seed_doc())
+        gcfg = write(tmp_path, "ger.json", {
+            "seed": seed, "xi": ["0.7", "0.2", "0", "0.4"], "theta": 0.3,
+            "potentials": flat_potentials_doc(), "grid": GRID4,
+            "tolerance": 1e-8})
+        assert cli.main(["geroch", "--config", gcfg,
+                         "--out", str(tmp_path / "t.json"),
+                         "--report", str(tmp_path / "g.csv")]) == 0
+        monkeypatch.undo()
+        assert len(captured) == 3
+        assert any("chi" in rep.columns for rep in captured[1])
+        for reports in captured:
+            self.assert_matches_reference(tmp_path, reports)

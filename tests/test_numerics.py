@@ -132,7 +132,18 @@ class TestResidualReport:
                                           np.array([0.0, 1e-3]), 1e-6)
         assert rep.summary_line().startswith("EQ test-eq max=")
         rows = rep.csv_rows(["x2", "v"])
-        assert rows[0] == ["test-eq", "", "0.25", "0.0"]
+        assert rows[0] == "test-eq,,0.25,0.0\r\n"
+
+    def test_worst_at_first_argmax(self):
+        cols = {"v": np.array([0.0, 1.0, 2.0, 3.0]),
+                "x2": np.array([5.0, 6.0, 7.0, 8.0])}
+        rep = nm.ResidualReport.from_grid("eq", cols,
+                                          np.array([1e-3, -4e-3, 4e-3, 0.0]), 1e-6)
+        assert rep.worst_at == {"v": 1.0, "x2": 6.0}
+        assert rep.summary_dict()["worst_at"] == {"v": 1.0, "x2": 6.0}
+        empty = nm.ResidualReport.from_grid("eq", {"v": np.array([])},
+                                            np.array([]), 1e-6)
+        assert empty.summary_dict()["worst_at"] is None
 
     def test_chunked_evaluation_matches(self):
         g = nm.Grid.build({"v": (0.2, 1.4, 13), "x2": (0.5, 1.5, 3)})
