@@ -50,21 +50,43 @@ def _summarize(reports, out=None) -> bool:
     return ok
 
 
-def _locate_eval_error(gm, grid, err, params=None) -> str:
+def _locate_eval_error(entries, grid, err, bindings=({},)) -> str:
     """Best-effort pointwise localization of an evaluation failure: the first
-    grid point at which a metric entry fails, and that entry."""
-    entries = [(f"{name}[{i}][{j}]", e)
-               for name, block in (("g", gm.metric.g), ("h", gm.metric.h),
-                                   ("N", gm.nconn.coeff))
-               for i, row in enumerate(block) for j, e in enumerate(row)]
-    for point in grid.points():
-        env = {**point, **(params or {})}
-        for name, e in entries:
-            try:
-                ex.evaluate(e, env)
-            except ex.EvalError:
-                return f"{err} in {name} = {ex.to_str(e)} at grid point {point}"
+    grid point at which one of the (name, expression) entries fails, and that
+    entry. ``bindings`` give values to variables off the grid (parameters,
+    chi samples); each is tried in turn and shown with the point."""
+    for bound in bindings:
+        for point in grid.points():
+            env = {**point, **bound}
+            for name, e in entries:
+                try:
+                    ex.evaluate(e, env)
+                except ex.EvalError:
+                    return f"{err} in {name} = {ex.to_str(e)} at grid point {env}"
     return str(err)
+
+
+def _metric_entries(gm) -> list:
+    return [(f"{name}[{i}][{j}]", e)
+            for name, block in (("g", gm.metric.g), ("h", gm.metric.h),
+                                ("N", gm.nconn.coeff))
+            for i, row in enumerate(block) for j, e in enumerate(row)]
+
+
+def _function_entries(cfg) -> list:
+    """The recipe functions and source terms of an already-read recipe, as
+    (name, expression). Any name the recipe readers accept is allowed here,
+    so the trees are those the readers built."""
+    names = (*ser._GEN_VARS, "chi", *cfg.get("params", ()))
+    docs = {f"functions.{k}": s for k, s in cfg["functions"].items()}
+    docs.update((f"source.{k}", s) for k, s in dict(cfg.get("source") or {}).items()
+                if k in ("upsilon2", "upsilon4"))
+    return [(name, ser.parse_expr(s, names, name)) for name, s in docs.items()]
+
+
+def _eval_error(message) -> int:
+    print(f"evaluation error: {message}", file=sys.stderr)
+    return EXIT_EVAL
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +196,20 @@ def cmd_generate(args) -> int:
 
     params = {str(k): float(v) for k, v in dict(cfg.get("param_values", {})).items()}
     reports = []
-    if family == "gensol1_5d":
-        gm = gen.generate_5d(recipe, src, grid=grid, extra=params or None)
-    elif family == "gensol1_4d":
-        gm = gen.generate_4d(recipe, src, grid=grid, extra=params or None)
-    elif family == "vacuum_lc":
-        gm, reports = gen.generate_vacuum_lc(recipe, grid, tol, extra=params or None)
-    else:
-        gm, reports = gen.generate_sourced_lc(recipe, grid, tol,
-                                              extra=params or None)
+    try:
+        if family == "gensol1_5d":
+            gm = gen.generate_5d(recipe, src, grid=grid, extra=params or None)
+        elif family == "gensol1_4d":
+            gm = gen.generate_4d(recipe, src, grid=grid, extra=params or None)
+        elif family == "vacuum_lc":
+            gm, reports = gen.generate_vacuum_lc(recipe, grid, tol,
+                                                 extra=params or None)
+        else:
+            gm, reports = gen.generate_sourced_lc(recipe, grid, tol,
+                                                  extra=params or None)
+    except ex.EvalError as err:
+        return _eval_error(_locate_eval_error(_function_entries(cfg), grid, err,
+                                              (params,)))
 
     payload = ser.metric_to_dict(gm)
     if reports:
@@ -218,9 +245,8 @@ def cmd_verify(args) -> int:
             oracle_tol=float(cfg.get("oracle_tolerance", 1e-9)),
             checks=checks, params=params or None)
     except ex.EvalError as err:
-        print(f"evaluation error: {_locate_eval_error(gm, grid, err, params)}",
-              file=sys.stderr)
-        return EXIT_EVAL
+        return _eval_error(_locate_eval_error(_metric_entries(gm), grid, err,
+                                              (params,)))
     out = args.out or "verify.csv"
     _write_csv(out, reports)
     summary = cfg.get("summary")
@@ -253,12 +279,16 @@ def cmd_flow(args) -> int:
     chis = ser.chi_samples_from_dict(cfg)
     tol = _tolerance(args, cfg, 1e-7)
 
-    if family == "flow_solrf1":
-        fam = rf.build_flow_solution(recipe, grid, chis, tol=max(tol, 1e-8))
-        reports = rf.flow_residuals(fam, grid, chis, tol)
-    else:
-        fam, lc_reports = rf.build_lc_flow(recipe, grid, chis, tol)
-        reports = lc_reports + rf.flow_residuals(fam, grid, chis, tol)
+    try:
+        if family == "flow_solrf1":
+            fam = rf.build_flow_solution(recipe, grid, chis, tol=max(tol, 1e-8))
+            reports = rf.flow_residuals(fam, grid, chis, tol)
+        else:
+            fam, lc_reports = rf.build_lc_flow(recipe, grid, chis, tol)
+            reports = lc_reports + rf.flow_residuals(fam, grid, chis, tol)
+    except ex.EvalError as err:
+        return _eval_error(_locate_eval_error(_function_entries(cfg), grid, err,
+                                              [{"chi": c} for c in chis]))
 
     out = args.out or "flow.csv"
     _write_csv(out, reports)
@@ -319,8 +349,17 @@ def cmd_geroch(args) -> int:
         else:
             raise ser.ConfigError(f"unknown step kind {kind!r}")
 
-    reports = [gr.killing_residual(gm, xi, grid, tol)] if xi is not None else []
-    current, checks = gr.apply_chain(gm, steps, grid, tol)
+    reports, setup = [], None
+    try:
+        if xi is not None:  # else every step is a deformation
+            setup = gr.coordinate_setup(gm)
+            reports.append(gr.killing_residual(gm, xi, grid, tol, setup=setup))
+        current, checks = gr.apply_chain(gm, steps, grid, tol, setup=setup)
+    except ex.EvalError as err:
+        entries = _metric_entries(gm)
+        if xi is not None:
+            entries += [(f"xi[{k}]", c) for k, c in enumerate(xi.xi)]
+        return _eval_error(_locate_eval_error(entries, grid, err))
     reports += checks
 
     out = args.out or "transformed.json"

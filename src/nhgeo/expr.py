@@ -521,7 +521,13 @@ def _diff(e: Expr, x: str) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Rebuild the tree through the smart constructors (constant folding,
-    identity elements, x^1 -> x, 0*x -> 0). Idempotent by construction."""
+    identity elements, x^1 -> x, 0*x -> 0). Idempotent by construction.
+
+    A tree built only by the smart constructors (the parser, diff and every
+    builder in this package) comes back structurally identical, but as new
+    objects, which loses the sharing that the derivative and evaluation memos
+    key on. So the package never calls it internally; it is for trees
+    assembled from raw nodes (``Sum((...))``, ``Product((...))``)."""
     return _simplify(e, {})
 
 
@@ -552,8 +558,9 @@ def _simplify(e: Expr, memo: dict) -> Expr:
 
 
 def is_zero(e: Expr) -> bool:
-    """Structurally zero after simplification (sufficient, not necessary)."""
-    return _is_const(simplify(e), 0.0)
+    """Structurally zero (sufficient, not necessary): the smart constructors
+    fold every tree that simplifies to zero into the constant itself."""
+    return _is_const(e, 0.0)
 
 
 def same_tree(a: Expr, b: Expr) -> bool:
@@ -700,25 +707,31 @@ def _ev_integral(e: IntegralV, env, memo):
     if V_NAME not in env:
         raise UnboundVariableError(V_NAME)
     upper = env[V_NAME]
+    # integrand variables other than v that the grid binds to arrays: each
+    # distinct (v, x...) tuple gets its own scalar quadrature
+    others = sorted(n for n in e.integrand.free_vars
+                    if n != V_NAME and isinstance(env.get(n), np.ndarray))
     fixed = dict(env)
 
-    def run(u: float) -> float:
+    def run(u: float, at: tuple) -> float:
+        fixed.update(zip(others, at))
+
         def f(t: float) -> float:
             fixed[V_NAME] = t
             return float(_ev(e.integrand, fixed, {}))
         return numerics.adaptive_simpson(f, e.lower, u)
 
-    if isinstance(upper, np.ndarray):
-        flat = upper.reshape(-1)
-        seen: dict = {}
-        out = np.empty(flat.shape, dtype=float)
-        for i, u in enumerate(flat):
-            key = float(u)
-            if key not in seen:
-                seen[key] = run(key)
-            out[i] = seen[key]
-        return out.reshape(upper.shape)
-    return run(float(upper))
+    if not others and not isinstance(upper, np.ndarray):
+        return run(float(upper), ())
+    cols = np.broadcast_arrays(upper, *(env[n] for n in others))
+    seen: dict = {}
+    out = []
+    for key in zip(*(c.reshape(-1).tolist() for c in cols)):
+        got = seen.get(key)
+        if got is None:
+            got = seen[key] = run(key[0], key[1:])
+        out.append(got)
+    return np.array(out, dtype=float).reshape(cols[0].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +739,7 @@ def _ev_integral(e: IntegralV, env, memo):
 # ---------------------------------------------------------------------------
 
 _PREC_SUM, _PREC_QUOT, _PREC_PROD, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5, 6
+_INT_EXPONENT_END = re.compile(r"\^\d+$")
 
 
 def _fmt_number(v: float) -> str:
@@ -764,6 +778,8 @@ def _render(e: Expr):
     if isinstance(e, Quot):
         num = _wrap(e.num, _PREC_PROD)
         den = _wrap(e.den, _PREC_NEG)  # denominator binds: a/(b*c) needs parens
+        if den.isdigit() and _INT_EXPONENT_END.search(num):
+            num = f"({num})"  # v^2/3 would reread as v^(2/3)
         return f"{num}/{den}", _PREC_QUOT
     if isinstance(e, Pow):
         base = _wrap(e.base, _PREC_ATOM)
@@ -911,6 +927,9 @@ class _Parser:
             kind3, text3, pos3 = self.peek()
             if kind3 == "num" and "." not in text3 and "e" not in text3.lower():
                 self.next()
+                if int(text3) == 0:
+                    raise ExprSyntaxError("zero exponent denominator", pos3,
+                                          expected="rational exponent")
                 q = q / Fraction(text3)
             else:
                 self.i = save  # the '/' belongs to an enclosing term: x^2/y

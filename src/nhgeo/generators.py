@@ -214,11 +214,11 @@ def aux_coeffs(h4: ex.Expr, h5: ex.Expr) -> AuxCoeffs:
     h5s = _dv(h5)
     return AuxCoeffs(
         phi=phi,
-        alpha2=ex.simplify(ex.mul(h5s, _d2(phi))),
-        alpha3=ex.simplify(ex.mul(h5s, _d3(phi))),
-        beta=ex.simplify(ex.mul(h5s, _dv(phi))),
-        gamma=ex.simplify(ex.sub(ex.div(ex.mul(3, h5s), ex.mul(2, h5)),
-                                 ex.div(_dv(h4), h4))),
+        alpha2=ex.mul(h5s, _d2(phi)),
+        alpha3=ex.mul(h5s, _d3(phi)),
+        beta=ex.mul(h5s, _dv(phi)),
+        gamma=ex.sub(ex.div(ex.mul(3, h5s), ex.mul(2, h5)),
+                     ex.div(_dv(h4), h4)),
     )
 
 
@@ -236,7 +236,7 @@ def closed_r22(g2: ex.Expr, g3: ex.Expr) -> ex.Expr:
         ex.div(ex.pow_(_d3(g2), 2), ex.mul(2, g2)),
         ex.neg(_d3(_d3(g2))),
     )
-    return ex.simplify(ex.div(num, ex.mul(2, g2, g3)))
+    return ex.div(num, ex.mul(2, g2, g3))
 
 
 def check_h_equation(g2: ex.Expr, g3: ex.Expr, upsilon4: ex.Expr, grid: Grid,
@@ -258,7 +258,7 @@ def closed_s44(h4: ex.Expr, h5: ex.Expr) -> ex.Expr:
     """Mixed Ricci component S^4_4 (= S^5_5) of the v-sector, closed form."""
     lnroot = ex.ln(ex.sqrt(ex.abs_(ex.mul(h4, h5))))
     num = ex.sub(ex.mul(_dv(h5), _dv(lnroot)), _dv(_dv(h5)))
-    return ex.simplify(ex.div(num, ex.mul(2, h4, h5)))
+    return ex.div(num, ex.mul(2, h4, h5))
 
 
 def closed_r4i(h4: ex.Expr, h5: ex.Expr, w_i: ex.Expr, xi: str) -> ex.Expr:
@@ -270,9 +270,9 @@ def closed_r4i(h4: ex.Expr, h5: ex.Expr, w_i: ex.Expr, xi: str) -> ex.Expr:
     aux = aux_coeffs(h4, h5)
     alpha = {"x2": aux.alpha2, "x3": aux.alpha3}.get(xi)
     if alpha is None:
-        alpha = ex.simplify(ex.mul(_dv(h5), _di(aux.phi, xi)))
-    return ex.simplify(ex.div(ex.sub(ex.mul(w_i, aux.beta), alpha),
-                              ex.mul(2, h5)))
+        alpha = ex.mul(_dv(h5), _di(aux.phi, xi))
+    return ex.div(ex.sub(ex.mul(w_i, aux.beta), alpha),
+                  ex.mul(2, h5))
 
 
 def closed_r5i(h4: ex.Expr, h5: ex.Expr, n_i: ex.Expr) -> ex.Expr:
@@ -281,8 +281,8 @@ def closed_r5i(h4: ex.Expr, h5: ex.Expr, n_i: ex.Expr) -> ex.Expr:
     gamma_eng = ex.sub(ex.div(ex.mul(3, _dv(h5)), ex.mul(2, h5)),
                        ex.div(_dv(h4), ex.mul(2, h4)))
     ns = _dv(n_i)
-    return ex.simplify(ex.mul(ex.neg(ex.div(h5, ex.mul(2, h4))),
-                              ex.add(_dv(ns), ex.mul(gamma_eng, ns))))
+    return ex.mul(ex.neg(ex.div(h5, ex.mul(2, h4))),
+                  ex.add(_dv(ns), ex.mul(gamma_eng, ns)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,43 +295,43 @@ def build_varsigma(recipe: SolutionRecipe5D, src: Source) -> ex.Expr:
     if src.v_sector_vanishes:
         return recipe.varsigma0
     e4 = recipe.signatures[3]
-    integrand = ex.simplify(ex.mul(src.upsilon2, _dv(recipe.f),
-                                   ex.sub(recipe.f, recipe.f0)))
-    return ex.simplify(ex.sub(
+    integrand = ex.mul(src.upsilon2, _dv(recipe.f),
+                       ex.sub(recipe.f, recipe.f0))
+    return ex.sub(
         recipe.varsigma0,
-        ex.mul(e4 / 8.0, ex.pow_(recipe.h0, 2), ex.intv(integrand, recipe.v0))))
+        ex.mul(e4 / 8.0, ex.pow_(recipe.h0, 2), ex.intv(integrand, recipe.v0)))
 
 
 def _generator_blocks(recipe: SolutionRecipe5D, src: Source):
     e1, e2, e3, e4, e5 = recipe.signatures
     f = recipe.f
-    fstar = ex.simplify(_dv(f))
-    fdiff = ex.simplify(ex.sub(f, recipe.f0))
+    fstar = _dv(f)
+    fdiff = ex.sub(f, recipe.f0)
     varsigma = build_varsigma(recipe, src)
 
-    h4 = ex.simplify(ex.mul(e4, ex.pow_(recipe.h0, 2), ex.pow_(fstar, 2),
-                            ex.abs_(varsigma)))
-    h5 = ex.simplify(ex.mul(e5, ex.pow_(fdiff, 2)))
+    h4 = ex.mul(e4, ex.pow_(recipe.h0, 2), ex.pow_(fstar, 2),
+                ex.abs_(varsigma))
+    h5 = ex.mul(e5, ex.pow_(fdiff, 2))
 
     if src.v_sector_vanishes:
         # varsigma is v-independent: the mixing quadrature degenerates to 0/0
         # and the canonical representative w_i = 0 is taken.
         w = {name: ex.ZERO for name in ("x1", "x2", "x3")}
     else:
-        vs_star = ex.simplify(_dv(varsigma))
-        w = {name: ex.simplify(ex.neg(ex.div(_di(varsigma, name), vs_star)))
+        vs_star = _dv(varsigma)
+        w = {name: ex.neg(ex.div(_di(varsigma, name), vs_star))
              for name in ("x1", "x2", "x3")}
 
-    n_integrand = ex.simplify(ex.mul(ex.div(ex.pow_(fstar, 2), ex.pow_(fdiff, 3)),
-                                     varsigma))
+    n_integrand = ex.mul(ex.div(ex.pow_(fstar, 2), ex.pow_(fdiff, 3)),
+                         varsigma)
     profile = ex.intv(n_integrand, recipe.v0)
     n = {}
     for k, name in enumerate(("x1", "x2", "x3")):
         nk1, nk2 = recipe.n1_funcs[k], recipe.n2_funcs[k]
         if ex.is_zero(nk2):
-            n[name] = ex.simplify(nk1)
+            n[name] = nk1
         else:
-            n[name] = ex.simplify(ex.add(nk1, ex.mul(nk2, profile)))
+            n[name] = ex.add(nk1, ex.mul(nk2, profile))
     return varsigma, fstar, fdiff, h4, h5, w, n
 
 
@@ -342,8 +342,8 @@ def generate_5d(recipe: SolutionRecipe5D, src: Source,
     e1, e2, e3, e4, e5 = recipe.signatures
     chart = chart_5d(recipe.params)
     varsigma, fstar, fdiff, h4, h5, w, n = _generator_blocks(recipe, src)
-    g = DMetric.diagonal([ex.const(e1), ex.simplify(ex.mul(e2, recipe.g2)),
-                          ex.simplify(ex.mul(e3, recipe.g3))], [h4, h5])
+    g = DMetric.diagonal([ex.const(e1), ex.mul(e2, recipe.g2),
+                          ex.mul(e3, recipe.g3)], [h4, h5])
     N = NConnection.build([[w["x1"], n["x1"]], [w["x2"], n["x2"]],
                            [w["x3"], n["x3"]]])
     out = GeneratedMetric(
@@ -372,8 +372,8 @@ def generate_4d(recipe: SolutionRecipe5D, src: Source,
     e1, e2, e3, e4, e5 = recipe.signatures
     chart = chart_4d(recipe.params)
     varsigma, fstar, fdiff, h4, h5, w, n = _generator_blocks(recipe, src)
-    g = DMetric.diagonal([ex.simplify(ex.mul(e2, recipe.g2)),
-                          ex.simplify(ex.mul(e3, recipe.g3))], [h4, h5])
+    g = DMetric.diagonal([ex.mul(e2, recipe.g2),
+                          ex.mul(e3, recipe.g3)], [h4, h5])
     N = NConnection.build([[w["x2"], n["x2"]], [w["x3"], n["x3"]]])
     out = GeneratedMetric(
         chart, g, N,
@@ -415,17 +415,17 @@ def generate_vacuum_lc(recipe: VacuumLCRecipe, grid: Grid, tol: float = 1e-10,
     e2, e3, e4, e5 = recipe.signatures
     chart = chart_4d(recipe.params)
     b, b0 = recipe.b, recipe.b0
-    bstar = ex.simplify(_dv(b))
-    bb = ex.simplify(ex.add(b, b0))
+    bstar = _dv(b)
+    bb = ex.add(b, b0)
 
-    h4 = ex.simplify(ex.mul(e4, recipe.h0 ** 2, ex.pow_(bstar, 2)))
-    h5 = ex.simplify(ex.mul(e5, ex.pow_(bb, 2)))
-    w2 = ex.simplify(ex.div(_d2(bb), bstar))
-    w3 = ex.simplify(ex.div(_d3(bb), bstar))
+    h4 = ex.mul(e4, recipe.h0 ** 2, ex.pow_(bstar, 2))
+    h5 = ex.mul(e5, ex.pow_(bb, 2))
+    w2 = ex.div(_d2(bb), bstar)
+    w3 = ex.div(_d3(bb), bstar)
 
     epsi = ex.exp(recipe.psi)
-    g = DMetric.diagonal([ex.simplify(ex.mul(e2, epsi)),
-                          ex.simplify(ex.mul(e3, epsi))], [h4, h5])
+    g = DMetric.diagonal([ex.mul(e2, epsi),
+                          ex.mul(e3, epsi)], [h4, h5])
     N = NConnection.build([[w2, recipe.n2], [w3, recipe.n3]])
     metric = GeneratedMetric(chart, g, N,
                              provenance={"family": "vacuum_lc"},
@@ -459,9 +459,9 @@ def generate_sourced_lc(recipe: SourcedLCRecipe, grid: Grid, tol: float = 1e-10,
     e2, e3, e4, e5 = recipe.signatures
     chart = chart_4d(recipe.params)
     h4, h5 = recipe.h4, recipe.h5
-    h5s = ex.simplify(_dv(h5))
+    h5s = _dv(h5)
     aux = aux_coeffs(h4, h5)
-    phistar = ex.simplify(_dv(aux.phi))
+    phistar = _dv(aux.phi)
     sourced = not recipe.source.v_sector_vanishes
 
     if vanishes_on_grid(phistar, grid, extra):
@@ -471,12 +471,12 @@ def generate_sourced_lc(recipe: SourcedLCRecipe, grid: Grid, tol: float = 1e-10,
                 "this family needs phi != const")
         w2 = w3 = ex.ZERO
     else:
-        w2 = ex.simplify(ex.div(_d2(aux.phi), phistar))
-        w3 = ex.simplify(ex.div(_d3(aux.phi), phistar))
+        w2 = ex.div(_d2(aux.phi), phistar)
+        w3 = ex.div(_d3(aux.phi), phistar)
 
     epsi = ex.exp(recipe.psi)
-    g = DMetric.diagonal([ex.simplify(ex.mul(e2, epsi)),
-                          ex.simplify(ex.mul(e3, epsi))], [h4, h5])
+    g = DMetric.diagonal([ex.mul(e2, epsi),
+                          ex.mul(e3, epsi)], [h4, h5])
     N = NConnection.build([[w2, recipe.n2], [w3, recipe.n3]])
     metric = GeneratedMetric(chart, g, N,
                              provenance={"family": "sourced_lc"},

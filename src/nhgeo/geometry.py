@@ -162,7 +162,7 @@ class DMetric:
     def is_block_diagonal(self) -> bool:
         def off(mat):
             k = len(mat)
-            return any(not _is_zero(mat[i][j])
+            return any(not ex.is_zero(mat[i][j])
                        for i in range(k) for j in range(k) if i != j)
         return not off(self.g) and not off(self.h)
 
@@ -174,10 +174,6 @@ class DMetric:
             vals = np.asarray(ex.evaluate(det, {**cols, **(extra or {})}))
             if np.any(np.abs(vals) < eps):
                 raise SingularMetric(f"{label}-block determinant vanishes on grid")
-
-
-def _is_zero(e: ex.Expr) -> bool:
-    return isinstance(e, ex.Const) and e.value == 0.0
 
 
 def kronecker(i: int, j: int) -> ex.Expr:
@@ -195,13 +191,13 @@ def _sym_det(mat) -> ex.Expr:
         minor = [[mat[r][c] for c in range(k) if c != j] for r in range(1, k)]
         term = ex.mul(mat[0][j], _sym_det(minor))
         det = ex.add(det, term if j % 2 == 0 else ex.neg(term))
-    return ex.simplify(det)
+    return det
 
 
 def sym_inverse(mat) -> tuple:
     """Adjugate inverse of a small symbolic matrix (diagonal fast path)."""
     k = len(mat)
-    if all(_is_zero(mat[i][j]) for i in range(k) for j in range(k) if i != j):
+    if all(ex.is_zero(mat[i][j]) for i in range(k) for j in range(k) if i != j):
         return tuple(tuple(ex.div(1, mat[i][i]) if i == j else ZERO
                            for j in range(k)) for i in range(k))
     det = _sym_det(mat)
@@ -214,7 +210,7 @@ def sym_inverse(mat) -> tuple:
             cof = _sym_det(minor)
             if (i + j) % 2 == 1:
                 cof = ex.neg(cof)
-            row.append(ex.simplify(ex.div(cof, det)))
+            row.append(ex.div(cof, det))
         out.append(tuple(row))
     return tuple(out)
 
@@ -232,9 +228,9 @@ def elongated(chart: Chart, N: NConnection, e: ex.Expr, alpha: int) -> ex.Expr:
     out = ex.diff(e, chart.x_names[i])
     for a in range(chart.m):
         Nia = N.entry(i, a)
-        if not _is_zero(Nia):
+        if not ex.is_zero(Nia):
             out = ex.sub(out, ex.mul(Nia, ex.diff(e, chart.y_names[a])))
-    return ex.simplify(out)
+    return out
 
 
 def frame_matrix(chart: Chart, N: NConnection) -> tuple:
@@ -282,7 +278,7 @@ class Anholonomy:
 
 def anholonomy(chart: Chart, N: NConnection) -> Anholonomy:
     n, m = chart.n, chart.m
-    w = tuple(tuple(tuple(ex.simplify(ex.diff(N.entry(i, b), chart.y_names[a]))
+    w = tuple(tuple(tuple(ex.diff(N.entry(i, b), chart.y_names[a])
                           for b in range(m)) for a in range(m)) for i in range(n))
     omega = []
     for a in range(m):
@@ -290,9 +286,9 @@ def anholonomy(chart: Chart, N: NConnection) -> Anholonomy:
         for i in range(n):
             row = []
             for j in range(n):
-                row.append(ex.simplify(ex.sub(
+                row.append(ex.sub(
                     elongated(chart, N, N.entry(j, a), i),
-                    elongated(chart, N, N.entry(i, a), j))))
+                    elongated(chart, N, N.entry(i, a), j)))
             block.append(tuple(row))
         omega.append(tuple(block))
     return Anholonomy(w, tuple(omega))
@@ -306,13 +302,13 @@ def full_anholonomy_table(chart: Chart, anh: Anholonomy) -> dict:
         for i in range(n):
             for j in range(n):
                 val = anh.omega[a][j][i]  # W^a_{ij} = Omega^a_{ji}
-                if not _is_zero(val):
+                if not ex.is_zero(val):
                     W[(n + a, i, j)] = val
     for i in range(n):
         for a in range(m):
             for b in range(m):
                 val = anh.w[i][a][b]
-                if not _is_zero(val):
+                if not ex.is_zero(val):
                     W[(n + b, i, n + a)] = val
                     W[(n + b, n + a, i)] = ex.neg(val)
     return W
@@ -419,12 +415,12 @@ def canonical_dconnection(g: DMetric, N: NConnection, chart: Chart) -> DConnecti
             for k in range(n):
                 acc = ZERO
                 for r in range(n):
-                    if _is_zero(ginv[i][r]):
+                    if ex.is_zero(ginv[i][r]):
                         continue
                     term = ex.add(e(g.g[j][r], k), e(g.g[k][r], j),
                                   ex.neg(e(g.g[j][k], r)))
                     acc = ex.add(acc, ex.mul(ginv[i][r], term))
-                l_h[i][j][k] = ex.simplify(ex.mul(0.5, acc))
+                l_h[i][j][k] = ex.mul(0.5, acc)
 
     l_v = [[[ZERO] * n for _ in range(m)] for _ in range(m)]
     for a in range(m):
@@ -433,14 +429,14 @@ def canonical_dconnection(g: DMetric, N: NConnection, chart: Chart) -> DConnecti
                 acc = dy(N.entry(k, a), b)
                 inner = ZERO
                 for c in range(m):
-                    if _is_zero(hinv[a][c]):
+                    if ex.is_zero(hinv[a][c]):
                         continue
                     term = e(g.h[b][c], k)
                     for dd in range(m):
                         term = ex.sub(term, ex.mul(g.h[dd][c], dy(N.entry(k, dd), b)))
                         term = ex.sub(term, ex.mul(g.h[dd][b], dy(N.entry(k, dd), c)))
                     inner = ex.add(inner, ex.mul(hinv[a][c], term))
-                l_v[a][b][k] = ex.simplify(ex.add(acc, ex.mul(0.5, inner)))
+                l_v[a][b][k] = ex.add(acc, ex.mul(0.5, inner))
 
     c_h = [[[ZERO] * m for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -448,10 +444,10 @@ def canonical_dconnection(g: DMetric, N: NConnection, chart: Chart) -> DConnecti
             for c in range(m):
                 acc = ZERO
                 for k in range(n):
-                    if _is_zero(ginv[i][k]):
+                    if ex.is_zero(ginv[i][k]):
                         continue
                     acc = ex.add(acc, ex.mul(ginv[i][k], dy(g.g[j][k], c)))
-                c_h[i][j][c] = ex.simplify(ex.mul(0.5, acc))
+                c_h[i][j][c] = ex.mul(0.5, acc)
 
     c_v = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
     for a in range(m):
@@ -459,12 +455,12 @@ def canonical_dconnection(g: DMetric, N: NConnection, chart: Chart) -> DConnecti
             for c in range(m):
                 acc = ZERO
                 for dd in range(m):
-                    if _is_zero(hinv[a][dd]):
+                    if ex.is_zero(hinv[a][dd]):
                         continue
                     term = ex.add(dy(g.h[b][dd], c), dy(g.h[c][dd], b),
                                   ex.neg(dy(g.h[b][c], dd)))
                     acc = ex.add(acc, ex.mul(hinv[a][dd], term))
-                c_v[a][b][c] = ex.simplify(ex.mul(0.5, acc))
+                c_v[a][b][c] = ex.mul(0.5, acc)
 
     return DConnection(_freeze3(l_h), _freeze3(l_v), _freeze3(c_h),
                        _freeze3(c_v), chart)
@@ -484,13 +480,12 @@ def coordinate_metric(g: DMetric, N: NConnection, chart: Chart) -> tuple:
             for a in range(m):
                 for b in range(m):
                     acc = ex.add(acc, ex.mul(N.entry(i, a), N.entry(j, b), g.h[a][b]))
-            out[i][j] = ex.simplify(acc)
+            out[i][j] = acc
     for i in range(n):
         for a in range(m):
             acc = ZERO
             for e_ in range(m):
                 acc = ex.add(acc, ex.mul(N.entry(i, e_), g.h[e_][a]))
-            acc = ex.simplify(acc)
             out[i][n + a] = acc
             out[n + a][i] = acc
     for a in range(m):
@@ -513,7 +508,7 @@ def coordinate_metric_inverse(g: DMetric, N: NConnection, chart: Chart) -> tuple
             acc = ZERO
             for k in range(n):
                 acc = ex.add(acc, ex.mul(ginv[i][k], N.entry(k, a)))
-            acc = ex.simplify(ex.neg(acc))
+            acc = ex.neg(acc)
             out[i][n + a] = acc
             out[n + a][i] = acc
     for a in range(m):
@@ -522,7 +517,7 @@ def coordinate_metric_inverse(g: DMetric, N: NConnection, chart: Chart) -> tuple
             for k in range(n):
                 for l in range(n):
                     acc = ex.add(acc, ex.mul(ginv[k][l], N.entry(k, a), N.entry(l, b)))
-            out[n + a][n + b] = ex.simplify(acc)
+            out[n + a][n + b] = acc
     return tuple(tuple(row) for row in out)
 
 
@@ -531,7 +526,7 @@ def coordinate_christoffels(gcoord, ginv, chart: Chart):
     d = chart.dim
     names = chart.coord_names
 
-    dg = [[[ex.simplify(ex.diff(gcoord[t][b], names[a])) for a in range(d)]
+    dg = [[[ex.diff(gcoord[t][b], names[a]) for a in range(d)]
            for b in range(d)] for t in range(d)]
 
     out = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
@@ -540,11 +535,11 @@ def coordinate_christoffels(gcoord, ginv, chart: Chart):
             for b in range(a, d):
                 acc = ZERO
                 for t in range(d):
-                    if _is_zero(ginv[c][t]):
+                    if ex.is_zero(ginv[c][t]):
                         continue
                     term = ex.add(dg[t][b][a], dg[t][a][b], ex.neg(dg[a][b][t]))
                     acc = ex.add(acc, ex.mul(ginv[c][t], term))
-                val = ex.simplify(ex.mul(0.5, acc))
+                val = ex.mul(0.5, acc)
                 out[c][a][b] = val
                 out[c][b][a] = val
     return out
@@ -574,22 +569,22 @@ def lc_decomposition(g: DMetric, N: NConnection, chart: Chart) -> LCConnection:
                 acc = ZERO
                 for abar in range(d):
                     Aa = A[a][abar]
-                    if _is_zero(Aa):
+                    if ex.is_zero(Aa):
                         continue
                     for gbar in range(d):
                         Ag = Ainv[gbar][c]
-                        if _is_zero(Ag):
+                        if ex.is_zero(Ag):
                             continue
                         inner = ex.diff(A[b][gbar], names[abar])
                         for bbar in range(d):
                             Ab = A[b][bbar]
-                            if _is_zero(Ab):
+                            if ex.is_zero(Ab):
                                 continue
                             inner = ex.add(inner, ex.mul(Ab, christ[gbar][abar][bbar]))
-                        if _is_zero(inner):
+                        if ex.is_zero(inner):
                             continue
                         acc = ex.add(acc, ex.mul(Aa, Ag, inner))
-                G[c][b][a] = ex.simplify(acc)
+                G[c][b][a] = acc
 
     def blk(rows_c, rows_b, rows_a):
         return tuple(tuple(tuple(G[c][b][a] for a in rows_a) for b in rows_b)
@@ -633,16 +628,16 @@ class DTorsion:
 def torsion(d: DConnection, N: NConnection, chart: Chart) -> DTorsion:
     n, m = chart.n, chart.m
     anh = anholonomy(chart, N)
-    t_hhh = tuple(tuple(tuple(ex.simplify(ex.sub(d.l_h[i][j][k], d.l_h[i][k][j]))
+    t_hhh = tuple(tuple(tuple(ex.sub(d.l_h[i][j][k], d.l_h[i][k][j])
                               for k in range(n)) for j in range(n)) for i in range(n))
     t_hhv = tuple(tuple(tuple(d.c_h[i][j][a] for a in range(m))
                         for j in range(n)) for i in range(n))
     t_vhh = tuple(tuple(tuple(anh.omega[a][j][i] for i in range(n))
                         for j in range(n)) for a in range(m))
     t_vvh = tuple(tuple(tuple(
-        ex.simplify(ex.sub(ex.diff(N.entry(i, a), chart.y_names[b]), d.l_v[a][b][i]))
+        ex.sub(ex.diff(N.entry(i, a), chart.y_names[b]), d.l_v[a][b][i])
         for i in range(n)) for b in range(m)) for a in range(m))
-    t_vvv = tuple(tuple(tuple(ex.simplify(ex.sub(d.c_v[a][b][c], d.c_v[a][c][b]))
+    t_vvv = tuple(tuple(tuple(ex.sub(d.c_v[a][b][c], d.c_v[a][c][b])
                               for c in range(m)) for b in range(m)) for a in range(m))
     return DTorsion(t_hhh, t_hhv, t_vhh, t_vvh, t_vvv)
 
@@ -676,14 +671,14 @@ class RicciD:
     def mixed_h(self, g: DMetric, i, j):
         """R^i_j = g^{ik} R_kj (no sum convention surprises: plain contraction)."""
         ginv = g.g_inv()
-        return ex.simplify(ex.add(*(ex.mul(ginv[i][k], self.ricci[k][j])
-                                    for k in range(self.chart.n))))
+        return ex.add(*(ex.mul(ginv[i][k], self.ricci[k][j])
+                        for k in range(self.chart.n)))
 
     def mixed_v(self, g: DMetric, a, b):
         hinv = g.h_inv()
         n = self.chart.n
-        return ex.simplify(ex.add(*(ex.mul(hinv[a][c], self.ricci[n + c][n + b])
-                                    for c in range(self.chart.m))))
+        return ex.add(*(ex.mul(hinv[a][c], self.ricci[n + c][n + b])
+                        for c in range(self.chart.m)))
 
 
 def curvature_ricci(conn, g: DMetric, N: NConnection, chart: Chart) -> RicciD:
@@ -702,7 +697,7 @@ def curvature_ricci(conn, g: DMetric, N: NConnection, chart: Chart) -> RicciD:
         return elongated(chart, N, expr, alpha)
 
     # contracted traces Tr[a] = sum_alpha Gamma^alpha_{a alpha}
-    trace = [ex.simplify(ex.add(*(G[al][b][al] for al in range(d)))) for b in range(d)]
+    trace = [ex.add(*(G[al][b][al] for al in range(d))) for b in range(d)]
 
     ric = [[ZERO] * d for _ in range(d)]
     for b in range(d):
@@ -714,11 +709,11 @@ def curvature_ricci(conn, g: DMetric, N: NConnection, chart: Chart) -> RicciD:
             acc = ex.sub(acc, e(trace[b], t))
             for mu in range(d):
                 Gmbt = G[mu][b][t]
-                if not _is_zero(Gmbt):
+                if not ex.is_zero(Gmbt):
                     acc = ex.add(acc, ex.mul(Gmbt, trace[mu]))
                 for al in range(d):
                     p = ex.mul(G[mu][b][al], G[al][mu][t])
-                    if not _is_zero(p):
+                    if not ex.is_zero(p):
                         acc = ex.sub(acc, p)
             for al in range(d):
                 for mu in range(d):
@@ -726,9 +721,9 @@ def curvature_ricci(conn, g: DMetric, N: NConnection, chart: Chart) -> RicciD:
                     if Wm is None:
                         continue
                     p = ex.mul(G[al][b][mu], Wm)
-                    if not _is_zero(p):
+                    if not ex.is_zero(p):
                         acc = ex.sub(acc, p)
-            ric[b][t] = ex.simplify(acc)
+            ric[b][t] = acc
 
     n = chart.n
     ginv = g.g_inv()
@@ -740,7 +735,6 @@ def curvature_ricci(conn, g: DMetric, N: NConnection, chart: Chart) -> RicciD:
     for a in range(chart.m):
         for bb in range(chart.m):
             scalar = ex.add(scalar, ex.mul(hinv[a][bb], ric[n + a][n + bb]))
-    scalar = ex.simplify(scalar)
 
     gfull = [[ZERO] * d for _ in range(d)]
     for i in range(n):
@@ -750,7 +744,7 @@ def curvature_ricci(conn, g: DMetric, N: NConnection, chart: Chart) -> RicciD:
         for bb in range(chart.m):
             gfull[n + a][n + bb] = g.h[a][bb]
     einstein = tuple(tuple(
-        ex.simplify(ex.sub(ric[bE][tE], ex.mul(0.5, gfull[bE][tE], scalar)))
+        ex.sub(ric[bE][tE], ex.mul(0.5, gfull[bE][tE], scalar))
         for tE in range(d)) for bE in range(d))
 
     return RicciD(tuple(tuple(row) for row in ric), scalar, einstein, chart)
@@ -763,7 +757,7 @@ def coordinate_lc_ricci(g: DMetric, N: NConnection, chart: Chart) -> tuple:
     gcoord = coordinate_metric(g, N, chart)
     ginv = coordinate_metric_inverse(g, N, chart)
     christ = coordinate_christoffels(gcoord, ginv, chart)
-    trace = [ex.simplify(ex.add(*(christ[al][b][al] for al in range(d))))
+    trace = [ex.add(*(christ[al][b][al] for al in range(d)))
              for b in range(d)]
     ric = [[ZERO] * d for _ in range(d)]
     for b in range(d):
@@ -773,15 +767,13 @@ def coordinate_lc_ricci(g: DMetric, N: NConnection, chart: Chart) -> tuple:
                 acc = ex.add(acc, ex.diff(christ[al][b][t], names[al]))
             acc = ex.sub(acc, ex.diff(trace[b], names[t]))
             for mu in range(d):
-                if not _is_zero(christ[mu][b][t]):
+                if not ex.is_zero(christ[mu][b][t]):
                     acc = ex.add(acc, ex.mul(christ[mu][b][t], trace[mu]))
                 for al in range(d):
                     p = ex.mul(christ[mu][b][al], christ[al][mu][t])
-                    if not _is_zero(p):
+                    if not ex.is_zero(p):
                         acc = ex.sub(acc, p)
-            val = ex.simplify(acc)
-            ric[b][t] = val
-            ric[t][b] = val
+            ric[b][t] = ric[t][b] = acc
     return tuple(tuple(row) for row in ric)
 
 
@@ -794,13 +786,13 @@ def adapted_from_coordinate(table, chart: Chart, N: NConnection) -> tuple:
         for be in range(d):
             acc = ZERO
             for ab in range(d):
-                if _is_zero(A[al][ab]):
+                if ex.is_zero(A[al][ab]):
                     continue
                 for bb in range(d):
-                    if _is_zero(A[be][bb]):
+                    if ex.is_zero(A[be][bb]):
                         continue
                     acc = ex.add(acc, ex.mul(A[al][ab], A[be][bb], table[ab][bb]))
-            out[al][be] = ex.simplify(acc)
+            out[al][be] = acc
     return tuple(tuple(row) for row in out)
 
 
@@ -837,6 +829,6 @@ def check_lc_compatibility(g: DMetric, N: NConnection, chart: Chart, grid: Grid,
                                          ex.diff(N.entry(k, dd), chart.y_names[b])))
                     t = ex.sub(t, ex.mul(g.h[dd][b],
                                          ex.diff(N.entry(k, dd), chart.y_names[c])))
-                comps.append(ex.simplify(t))
+                comps.append(t)
     rep3 = grid_report("v-metric transport", comps, cols, tol, extra)
     return [rep1, rep2, rep3]

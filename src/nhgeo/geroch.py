@@ -29,7 +29,8 @@ __all__ = [
     "KillingData", "GerochPotentials", "Polarizations", "FrameMatrices",
     "GerochStep", "DeformStep", "PotentialsNotVerified",
     "DegenerateDenominator", "SignatureMismatch", "ZeroPolarization",
-    "killing_residual", "geroch_residuals", "apply_geroch", "solve_vielbein",
+    "coordinate_setup", "killing_residual", "geroch_residuals", "apply_geroch",
+    "solve_vielbein",
     "nonholonomic_deform", "apply_chain", "superpose", "drop_trivial_x1",
     "dmetric_from_coordinate",
 ]
@@ -141,7 +142,10 @@ def drop_trivial_x1(gm: GeneratedMetric) -> GeneratedMetric:
     return GeneratedMetric(chart4, g4, n4, dict(gm.provenance), gm.excluded)
 
 
-def _coordinate_setup(gm: GeneratedMetric):
+def coordinate_setup(gm: GeneratedMetric):
+    """(chart, coordinate metric, its inverse, Christoffel symbols) of a
+    metric: what the Killing check, the potential checks and the transform
+    share. Build it once per metric and pass it to each as ``setup``."""
     chart = gm.chart
     g = coordinate_metric(gm.metric, gm.nconn, chart)
     ginv = coordinate_metric_inverse(gm.metric, gm.nconn, chart)
@@ -152,14 +156,14 @@ def _coordinate_setup(gm: GeneratedMetric):
 def _nabla_covector(comps, christ, chart):
     d = chart.dim
     names = chart.coord_names
-    return [[ex.simplify(ex.sub(ex.diff(comps[b], names[a]),
-                                ex.add(*(ex.mul(christ[c][a][b], comps[c])
-                                         for c in range(d)))))
+    return [[ex.sub(ex.diff(comps[b], names[a]),
+                    ex.add(*(ex.mul(christ[c][a][b], comps[c])
+                             for c in range(d))))
              for b in range(d)] for a in range(d)]
 
 
 def _raise_index(comps, ginv, d):
-    return [ex.simplify(ex.add(*(ex.mul(ginv[a][b], comps[b]) for b in range(d))))
+    return [ex.add(*(ex.mul(ginv[a][b], comps[b]) for b in range(d)))
             for a in range(d)]
 
 
@@ -175,22 +179,22 @@ def _perm_sign(p) -> int:
 
 
 def killing_residual(gm: GeneratedMetric, xi: KillingData, grid: Grid,
-                     tol: float = 1e-10, extra=None) -> ResidualReport:
+                     tol: float = 1e-10, extra=None, setup=None) -> ResidualReport:
     """max over the grid of |nabla_a xi_b + nabla_b xi_a| (all components)."""
-    chart, g, ginv, christ = _coordinate_setup(gm)
+    chart, g, ginv, christ = setup or coordinate_setup(gm)
     d = chart.dim
     nx = _nabla_covector(xi.xi, christ, chart)
-    comps = [ex.simplify(ex.add(nx[a][b], nx[b][a]))
+    comps = [ex.add(nx[a][b], nx[b][a])
              for a in range(d) for b in range(a, d)]
     return grid_report("killing", comps, grid.arrays(), tol, extra)
 
 
 def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
                      pot: GerochPotentials, grid: Grid, tol: float = 1e-10,
-                     extra=None) -> list:
+                     extra=None, setup=None) -> list:
     """Residual reports for the three potential equations and the two
     algebraic constraints tying (omega, alpha, mu) to the Killing covector."""
-    chart, g, ginv, christ = _coordinate_setup(gm)
+    chart, g, ginv, christ = setup or coordinate_setup(gm)
     d = chart.dim
     if d != 4:
         raise ValueError("potential checks are defined for 4D metrics; "
@@ -198,11 +202,11 @@ def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
     names = chart.coord_names
     nx = _nabla_covector(xi.xi, christ, chart)
     xi_up = _raise_index(xi.xi, ginv, d)
-    lam_g = ex.simplify(ex.add(*(ex.mul(xi_up[a], xi.xi[a]) for a in range(d))))
+    lam_g = ex.add(*(ex.mul(xi_up[a], xi.xi[a]) for a in range(d)))
 
     # (nabla xi)^{c t} with both indices raised
-    nx_up = [[ex.simplify(ex.add(*(ex.mul(ginv[c][a], ginv[t][b], nx[a][b])
-                                   for a in range(d) for b in range(d))))
+    nx_up = [[ex.add(*(ex.mul(ginv[c][a], ginv[t][b], nx[a][b])
+                       for a in range(d) for b in range(d)))
               for t in range(d)] for c in range(d)]
 
     sqrtdet = ex.sqrt(ex.abs_(_sym_det(g)))
@@ -214,7 +218,6 @@ def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
         s = _perm_sign(p)
         term = ex.mul(s, sqrtdet, nx_up[c][t])
         F[a][b] = ex.add(F[a][b], term)
-    F = [[ex.simplify(F[a][b]) for b in range(d)] for a in range(d)]
 
     # eq 1: nabla_a omega = eps_{abct} xi^b (nabla xi)^{ct}
     eq1 = []
@@ -225,7 +228,7 @@ def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
                 continue
             _, b, c, t = p
             rhs = ex.add(rhs, ex.mul(_perm_sign(p), sqrtdet, xi_up[b], nx_up[c][t]))
-        eq1.append(ex.simplify(ex.sub(ex.diff(pot.omega, names[a]), rhs)))
+        eq1.append(ex.sub(ex.diff(pot.omega, names[a]), rhs))
 
     # eq 2: d_[a alpha_b] = (1/2) F_ab
     eq2 = []
@@ -233,7 +236,7 @@ def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
         for b in range(a + 1, d):
             curl = ex.mul(0.5, ex.sub(ex.diff(pot.alpha[b], names[a]),
                                       ex.diff(pot.alpha[a], names[b])))
-            eq2.append(ex.simplify(ex.sub(curl, ex.mul(0.5, F[a][b]))))
+            eq2.append(ex.sub(curl, ex.mul(0.5, F[a][b])))
 
     # eq 3: d_[a mu_b] = 2 lam_g nabla_a xi_b + omega F_ab
     eq3 = []
@@ -242,14 +245,14 @@ def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
             curl = ex.mul(0.5, ex.sub(ex.diff(pot.mu[b], names[a]),
                                       ex.diff(pot.mu[a], names[b])))
             rhs = ex.add(ex.mul(2, lam_g, nx[a][b]), ex.mul(pot.omega, F[a][b]))
-            eq3.append(ex.simplify(ex.sub(curl, rhs)))
+            eq3.append(ex.sub(curl, rhs))
 
-    alg1 = ex.simplify(ex.sub(pot.omega,
-                              ex.add(*(ex.mul(xi_up[a], pot.alpha[a])
-                                       for a in range(d)))))
-    alg2 = ex.simplify(ex.sub(
+    alg1 = ex.sub(pot.omega,
+                  ex.add(*(ex.mul(xi_up[a], pot.alpha[a])
+                           for a in range(d))))
+    alg2 = ex.sub(
         ex.add(*(ex.mul(xi_up[a], pot.mu[a]) for a in range(d))),
-        ex.add(ex.pow_(lam_g, 2), ex.pow_(pot.omega, 2), -1)))
+        ex.add(ex.pow_(lam_g, 2), ex.pow_(pot.omega, 2), -1))
 
     cols = grid.arrays()
     return [grid_report(label, exprs, cols, tol, extra) for label, exprs in (
@@ -271,16 +274,15 @@ def _snap(e: ex.Expr, eps: float = 1e-13) -> ex.Expr:
 def dmetric_from_coordinate(table, chart: Chart) -> tuple:
     """Recover (g_ij, h_ab, N_i^a) from full coordinate components."""
     n, m = chart.n, chart.m
-    h = tuple(tuple(_snap(ex.simplify(table[n + a][n + b])) for b in range(m))
+    h = tuple(tuple(_snap(table[n + a][n + b]) for b in range(m))
               for a in range(m))
     hinv = sym_inverse(h)
     N = []
     for i in range(n):
         row = []
         for a in range(m):
-            row.append(_snap(ex.simplify(
-                ex.add(*(ex.mul(hinv[a][b], table[i][n + b])
-                         for b in range(m))))))
+            row.append(_snap(ex.add(*(ex.mul(hinv[a][b], table[i][n + b])
+                                      for b in range(m)))))
         N.append(tuple(row))
     g = []
     for i in range(n):
@@ -290,7 +292,7 @@ def dmetric_from_coordinate(table, chart: Chart) -> tuple:
             for a in range(m):
                 for b in range(m):
                     acc = ex.sub(acc, ex.mul(N[i][a], N[j][b], h[a][b]))
-            row.append(_snap(ex.simplify(acc)))
+            row.append(_snap(acc))
         g.append(tuple(row))
     return DMetric(tuple(g), h), NConnection(tuple(N))
 
@@ -298,7 +300,7 @@ def dmetric_from_coordinate(table, chart: Chart) -> tuple:
 def apply_geroch(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials,
                  theta: float, checks: Sequence[ResidualReport] | None = None,
                  grid: Grid | None = None, denom_eps: float = 1e-9,
-                 extra=None) -> GeneratedMetric:
+                 extra=None, setup=None) -> GeneratedMetric:
     """One-parameter transform of a vacuum seed with Killing covector xi.
 
     ``checks`` must be the (passing) reports from geroch_residuals for this
@@ -311,18 +313,18 @@ def apply_geroch(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials,
     if failing:
         raise PotentialsNotVerified(f"potential checks failed: {failing}")
 
-    chart, g, ginv, _ = _coordinate_setup(gm)
+    chart, g, ginv, _ = setup or coordinate_setup(gm)
     d = chart.dim
     if d != 4:
         raise ValueError("the transform is defined for 4D metrics; "
                          "use drop_trivial_x1 for the 5D embedding")
     xi_up = _raise_index(xi.xi, ginv, d)
-    lam_g = ex.simplify(ex.add(*(ex.mul(xi_up[a], xi.xi[a]) for a in range(d))))
+    lam_g = ex.add(*(ex.mul(xi_up[a], xi.xi[a]) for a in range(d)))
 
     ct, st = math.cos(theta), math.sin(theta)
-    den = ex.simplify(ex.add(ex.pow_(ex.sub(ex.mul(ct, ex.ONE),
-                                            ex.mul(st, pot.omega)), 2),
-                             ex.mul(st * st, ex.pow_(lam_g, 2))))
+    den = ex.add(ex.pow_(ex.sub(ex.mul(ct, ex.ONE),
+                                ex.mul(st, pot.omega)), 2),
+                 ex.mul(st * st, ex.pow_(lam_g, 2)))
     if grid is not None:
         cols = grid.arrays()
         dv = np.broadcast_to(np.asarray(
@@ -330,22 +332,22 @@ def apply_geroch(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials,
         if np.any(np.abs(dv) < denom_eps):
             raise DegenerateDenominator(
                 "transform denominator vanishes on the verification grid")
-    lam_tilde = ex.simplify(ex.div(lam_g, den))
+    lam_tilde = ex.div(lam_g, den)
 
     s2t = math.sin(2.0 * theta)
-    mu = [ex.simplify(ex.add(ex.div(xi.xi[t], lam_tilde),
-                             ex.mul(s2t, pot.alpha[t]),
-                             ex.neg(ex.mul(st * st, pot.beta[t]))))
+    mu = [ex.add(ex.div(xi.xi[t], lam_tilde),
+                 ex.mul(s2t, pot.alpha[t]),
+                 ex.neg(ex.mul(st * st, pot.beta[t])))
           for t in range(d)]
 
-    scale = ex.simplify(ex.div(lam_g, lam_tilde))
+    scale = ex.div(lam_g, lam_tilde)
     out = []
     for a in range(d):
         row = []
         for b in range(d):
             core = ex.sub(g[a][b], ex.div(ex.mul(xi.xi[a], xi.xi[b]), lam_g))
-            row.append(ex.simplify(ex.add(ex.mul(scale, core),
-                                          ex.mul(lam_tilde, mu[a], mu[b]))))
+            row.append(ex.add(ex.mul(scale, core),
+                              ex.mul(lam_tilde, mu[a], mu[b])))
         out.append(tuple(row))
 
     dmet, nconn = dmetric_from_coordinate(out, chart)
@@ -453,10 +455,10 @@ def nonholonomic_deform(check: GeneratedMetric,
     if len(pol.eta_h) != n or len(pol.eta_v) != m or len(pol.eta_n) != n:
         raise ValueError("polarization shape does not match the chart")
     g = DMetric.diagonal(
-        [ex.simplify(ex.mul(pol.eta_h[i], check.metric.g[i][i])) for i in range(n)],
-        [ex.simplify(ex.mul(pol.eta_v[a], check.metric.h[a][a])) for a in range(m)])
+        [ex.mul(pol.eta_h[i], check.metric.g[i][i]) for i in range(n)],
+        [ex.mul(pol.eta_v[a], check.metric.h[a][a]) for a in range(m)])
     N = NConnection.build(
-        [[ex.simplify(ex.mul(pol.eta_n[i][a], check.nconn.entry(i, a)))
+        [[ex.mul(pol.eta_n[i][a], check.nconn.entry(i, a))
           for a in range(m)] for i in range(n)])
     prov = {"family": "deformed", "seed": check.provenance.get("family", "unknown")}
     return GeneratedMetric(chart, g, N, prov, check.excluded)
@@ -477,24 +479,27 @@ class DeformStep:
 
 
 def apply_chain(seed: GeneratedMetric, steps: Sequence, grid: Grid,
-                tol: float = 1e-8, extra=None) -> tuple:
+                tol: float = 1e-8, extra=None, setup=None) -> tuple:
     """Left-to-right application of transform steps; each transform step
     re-verifies its potentials against the current metric. Returns the final
-    metric and the potential-check reports of all transform steps, in order."""
+    metric and the potential-check reports of all transform steps, in order.
+    ``setup`` is the seed's coordinate_setup, when the caller has built it."""
     current = seed
     reports = []
     for step in steps:
         if isinstance(step, GerochStep):
+            setup = setup or coordinate_setup(current)
             checks = geroch_residuals(current, step.xi, step.potentials, grid,
-                                      tol, extra=extra)
+                                      tol, extra=extra, setup=setup)
             reports.extend(checks)
             current = apply_geroch(current, step.xi, step.potentials,
                                    step.theta, checks=checks, grid=grid,
-                                   extra=extra)
+                                   extra=extra, setup=setup)
         elif isinstance(step, DeformStep):
             current = nonholonomic_deform(current, step.polarizations)
         else:
             raise TypeError(f"unknown transform step {type(step).__name__}")
+        setup = None  # it belonged to the metric before this step
     return current, reports
 
 

@@ -122,11 +122,11 @@ def flow_residual_components(fam: FlowFamily):
         for c in range(m):
             res = ex.add(res, ex.mul(g.h[c][c],
                                      _dchi(ex.pow_(N.entry(i, c), 2))))
-        eq_h.append(ex.simplify(res))
+        eq_h.append(res)
 
-    eq_v = [ex.simplify(ex.add(_dchi(g.h[a][a]),
-                               ex.mul(2, ex.sub(ric.vv(a, a),
-                                                ex.mul(lam, g.h[a][a])))))
+    eq_v = [ex.add(_dchi(g.h[a][a]),
+                   ex.mul(2, ex.sub(ric.vv(a, a),
+                                    ex.mul(lam, g.h[a][a]))))
             for a in range(m)]
 
     off = []
@@ -159,8 +159,8 @@ def hamilton_residual_components(fam: FlowFamily):
     gcoord = coordinate_metric(g, N, chart)
     ric = coordinate_lc_ricci(g, N, chart)
     d = chart.dim
-    return tuple(tuple(ex.simplify(ex.add(_dchi(gcoord[a][b]),
-                                          ex.mul(2, ric[a][b])))
+    return tuple(tuple(ex.add(_dchi(gcoord[a][b]),
+                              ex.mul(2, ric[a][b]))
                        for b in range(d)) for a in range(d))
 
 
@@ -229,42 +229,41 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
     equations on the grid; raises HorizontalCompatibilityError / QuadratureCompatibilityError."""
     e1, e2, e3, e4, e5 = recipe.signatures
     h5 = recipe.h5
-    h5s = ex.simplify(_dv(h5))
+    h5s = _dv(h5)
     root5 = ex.sqrt(ex.abs_(h5))
-    rstar = ex.simplify(_dv(root5))
+    rstar = _dv(root5)
 
-    h_prof = ex.simplify(ex.mul(e4, ex.pow_(recipe.h0fn, 2), ex.pow_(rstar, 2)))
+    h_prof = ex.mul(e4, ex.pow_(recipe.h0fn, 2), ex.pow_(rstar, 2))
     if recipe.lam == 0.0:
         varsigma4 = recipe.varsigma40
     else:
-        varsigma4 = ex.simplify(ex.sub(
+        varsigma4 = ex.sub(
             recipe.varsigma40,
             ex.mul(recipe.lam / 4.0,
-                   ex.intv(ex.simplify(ex.div(ex.mul(h_prof, h5), h5s)),
-                           recipe.v0))))
-    h4 = ex.simplify(ex.mul(h_prof, varsigma4))
+                   ex.intv(ex.div(ex.mul(h_prof, h5), h5s), recipe.v0)))
+    h4 = ex.mul(h_prof, varsigma4)
 
     aux = aux_coeffs(h4, h5)
-    phistar = ex.simplify(_dv(aux.phi))
+    phistar = _dv(aux.phi)
     from .generators import vanishes_on_grid
     if vanishes_on_grid(phistar, grid,
                         {CHI: float(chi_samples[0]), **(extra or {})}):
         w2 = w3 = ex.ZERO
     else:
-        w2 = ex.simplify(ex.div(_d2(aux.phi), phistar))
-        w3 = ex.simplify(ex.div(_d3(aux.phi), phistar))
+        w2 = ex.div(_d2(aux.phi), phistar)
+        w3 = ex.div(_d3(aux.phi), phistar)
 
-    n_integrand = ex.simplify(ex.div(h4, ex.pow_(root5, 3)))
+    n_integrand = ex.div(h4, ex.pow_(root5, 3))
     if ex.is_zero(recipe.n2fn):
-        n2 = ex.simplify(recipe.n1fn)
+        n2 = recipe.n1fn
     else:
-        n2 = ex.simplify(ex.add(recipe.n1fn,
-                                ex.mul(recipe.n2fn, ex.intv(n_integrand, recipe.v0))))
+        n2 = ex.add(recipe.n1fn,
+                    ex.mul(recipe.n2fn, ex.intv(n_integrand, recipe.v0)))
 
     chart = chart_5d((*recipe.params, CHI))
     g = DMetric.diagonal(
-        [ex.const(e1), ex.simplify(ex.mul(e2, recipe.varpi)),
-         ex.simplify(ex.mul(e3, recipe.varpi))], [h4, h5])
+        [ex.const(e1), ex.mul(e2, recipe.varpi),
+         ex.mul(e3, recipe.varpi)], [h4, h5])
     N = NConnection.build([[ex.ZERO, ex.ZERO], [w2, n2], [w3, n2]])
     metric = GeneratedMetric(chart, g, N,
                              provenance={"family": "flow_integrable",
@@ -302,14 +301,14 @@ def build_lc_flow(recipe: LCFlowRecipe, grid: Grid, chi_samples: Sequence[float]
     constraints (the four coupled equations plus the two transports)."""
     e2, e3, e4, e5 = recipe.signatures
     h4, h5 = recipe.h4, recipe.h5
-    h5s = ex.simplify(_dv(h5))
+    h5s = _dv(h5)
     aux = aux_coeffs(h4, h5)
-    phistar = ex.simplify(_dv(aux.phi))
+    phistar = _dv(aux.phi)
 
     chart = chart_4d((*recipe.params, CHI))
     epsi = ex.exp(recipe.psi)
-    g = DMetric.diagonal([ex.simplify(ex.mul(e2, epsi)),
-                          ex.simplify(ex.mul(e3, epsi))], [h4, h5])
+    g = DMetric.diagonal([ex.mul(e2, epsi),
+                          ex.mul(e3, epsi)], [h4, h5])
     N = NConnection.build([[recipe.w2, recipe.n2], [recipe.w3, recipe.n2]])
     metric = GeneratedMetric(chart, g, N,
                              provenance={"family": "flow_lc", "lam": recipe.lam},

@@ -17,6 +17,23 @@ def random_points(names, k=20, lo=0.5, hi=1.5, seed=1):
     return [{nm: float(gen.uniform(lo, hi)) for nm in names} for _ in range(k)]
 
 
+def expr_children(e):
+    """The child nodes of an expression node, in field order."""
+    if isinstance(e, ex.Sum):
+        return e.terms
+    if isinstance(e, ex.Product):
+        return e.factors
+    if isinstance(e, ex.Quot):
+        return (e.num, e.den)
+    if isinstance(e, ex.Pow):
+        return (e.base,)
+    if isinstance(e, (ex.Neg, ex.Func)):
+        return (e.arg,)
+    if isinstance(e, ex.IntegralV):
+        return (e.integrand,)
+    return ()
+
+
 def max_abs_at(e, points):
     return max(abs(ex.evaluate(e, p)) for p in points)
 

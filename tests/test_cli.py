@@ -6,6 +6,7 @@ import json
 import numpy as np
 
 from nhgeo import cli
+from nhgeo import geroch as gr
 from nhgeo import serialize as ser
 from nhgeo.numerics import ResidualReport
 
@@ -81,6 +82,31 @@ class TestGenerate:
         bad["family"] = "who-knows"
         cfg = write(tmp_path, "bad.json", bad)
         assert cli.main(["generate", "--config", cfg]) == 2
+
+    def test_x_dependent_source_generates_and_verifies(self, tmp_path, capsys):
+        # the conformal factor's running integral then depends on x3 as well
+        # as v, so it is evaluated per (v, x3) grid pair
+        source = {"upsilon2": "0.1*(1 + x3)", "upsilon4": "0"}
+        cfg = write(tmp_path, "recipe.json", {**vacuum_recipe(), "source": source})
+        metric = str(tmp_path / "metric.json")
+        assert cli.main(["generate", "--config", cfg, "--out", metric]) == 0
+        vcfg = write(tmp_path, "verify.json", {
+            "metric": metric, "grid": {**GRID5, "y5": GRID5["v"]},
+            "tolerance": 1e-8, "source": source})
+        # exit 1 is the documented verdict of the first-order conformal factor
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "v.csv")]) == 1
+        out = capsys.readouterr().out
+        assert "EQ S44+Y2 max=2.347" in out and "EQ R22+Y4 max=0.0" in out
+
+    def test_eval_error_names_function_and_point(self, tmp_path, capsys):
+        recipe = vacuum_recipe()
+        recipe["functions"]["f"] = "v + sqrt(x2 - 1)"
+        cfg = write(tmp_path, "recipe.json", recipe)
+        assert cli.main(["generate", "--config", cfg,
+                         "--out", str(tmp_path / "m.json")]) == 4
+        err = capsys.readouterr().err
+        assert "functions.f = v + sqrt(x2 - 1)" in err and "grid point" in err
 
     def test_vacuum_lc_family_with_reports(self, tmp_path):
         cfg = write(tmp_path, "lc.json", {
@@ -216,6 +242,16 @@ class TestFlow:
         cfg = write(tmp_path, "flow.json", bad)
         assert cli.main(["flow", "--config", cfg]) == 3
 
+    def test_eval_error_names_function_and_point(self, tmp_path, capsys):
+        bad = self.flow_cfg()
+        bad["functions"]["h5"] = "sqrt(v-1)"
+        cfg = write(tmp_path, "flow.json", bad)
+        assert cli.main(["flow", "--config", cfg,
+                         "--out", str(tmp_path / "f.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "functions.h5 = sqrt(v - 1)" in err and "grid point" in err
+        assert "'chi': 0.0" in err
+
     def test_lc_flow_family(self, tmp_path):
         cfg = write(tmp_path, "flow.json", {
             "family": "flow_lc", "lambda": 0.0, "signatures": [1, 1, 1, 1],
@@ -252,6 +288,43 @@ class TestGeroch:
             "potentials": flat_potentials_doc(omega="x2"),
             "grid": GRID4, "tolerance": 1e-8})
         assert cli.main(["geroch", "--config", cfg]) == 5
+
+    def test_eval_error_names_entry_and_point(self, tmp_path, capsys):
+        doc = flat_seed_doc()
+        doc["h"][1][1] = "sqrt(v-1)"
+        seed = write(tmp_path, "seed.json", doc)
+        cfg = write(tmp_path, "ger.json", {
+            "seed": seed, "xi": ["0.7", "0.2", "0", "0.4"], "theta": 0.3,
+            "potentials": flat_potentials_doc(),
+            "grid": GRID4, "tolerance": 1e-8})
+        assert cli.main(["geroch", "--config", cfg,
+                         "--out", str(tmp_path / "t.json")]) == 4
+        err = capsys.readouterr().err
+        assert "h[1][1] = sqrt(v - 1)" in err and "grid point" in err
+
+    def test_seed_setup_built_once(self, tmp_path, monkeypatch):
+        # the Killing check, the potential checks and the transform of the
+        # first step all read the seed's one coordinate setup
+        seed = write(tmp_path, "seed.json", flat_seed_doc())
+        cfg = write(tmp_path, "ger.json", {
+            "seed": seed, "xi": ["0.7", "0.2", "0", "0.4"],
+            "steps": [{"kind": "geroch", "theta": 0.3,
+                       "potentials": flat_potentials_doc()},
+                      {"kind": "deform",
+                       "polarizations": {"eta_h": ["2", "1"], "eta_v": ["1", "1"],
+                                         "eta_n": [["1", "1"], ["1", "1"]]}}],
+            "grid": GRID4, "tolerance": 1e-8})
+        calls = []
+        build = gr.coordinate_christoffels
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(gr, "coordinate_christoffels", counted)
+        assert cli.main(["geroch", "--config", cfg,
+                         "--out", str(tmp_path / "t.json")]) == 0
+        assert len(calls) == 1
 
     def test_chain_with_deform_step(self, tmp_path):
         seed = write(tmp_path, "seed.json", flat_seed_doc())

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nhgeo import expr as ex
 
-from conftest import RandomExprs, central_fd
+from conftest import RandomExprs, central_fd, expr_children
 
 V = ex.var("v")
 X2 = ex.var("x2")
@@ -119,6 +119,32 @@ class TestDiff:
             1.5 ** 3 / 3.0, abs=1e-10)
 
 
+class TestIntegralOnArrays:
+    def test_x_dependent_integrand_matches_scalar_points(self):
+        # nested too: the inner integral's integrand depends on x2
+        F = ex.add(ex.intv(ex.mul(ex.add(1, X3), ex.exp(ex.mul(X2, V))), 1.0),
+                   ex.intv(ex.mul(V, ex.intv(ex.mul(X2, V), 0.5)), 1.0))
+        x2, x3, v = np.meshgrid([0.5, 1.0, 1.5], [0.7, 1.3], [0.5, 1.0, 1.5],
+                                indexing="ij")
+        got = ex.evaluate(F, {"x2": x2, "x3": x3, "v": v})
+        want = [ex.evaluate(F, {"x2": float(a), "x3": float(b), "v": float(c)})
+                for a, b, c in zip(x2.ravel(), x3.ravel(), v.ravel())]
+        assert got.shape == x2.shape
+        assert got.ravel().tolist() == want
+
+    def test_scalar_v_with_array_x(self):
+        F = ex.intv(ex.mul(X2, V), 0.0)
+        got = ex.evaluate(F, {"x2": np.array([1.0, 2.0]), "v": 1.0})
+        assert got.tolist() == [ex.evaluate(F, {"x2": 1.0, "v": 1.0}),
+                                ex.evaluate(F, {"x2": 2.0, "v": 1.0})]
+
+    def test_v_only_integrand_unchanged(self):
+        F = ex.intv(ex.exp(V), 0.0)
+        v = np.array([0.5, 1.0, 0.5])
+        got = ex.evaluate(F, {"v": v, "x2": np.array([1.0, 2.0, 3.0])})
+        assert got.tolist() == [ex.evaluate(F, {"v": float(u)}) for u in v]
+
+
 class TestEvaluate:
     def test_simple(self):
         assert ex.evaluate(ex.mul(2, V), {"v": 3.0}) == 6.0
@@ -208,6 +234,18 @@ class TestRoundTrip:
             e = ex.parse(text, ["v", "x2"])
             assert ex.same_tree(e, ex.parse(ex.to_str(e), ["v", "x2"])), text
 
+    def test_integer_power_over_integer(self):
+        # "v^2/3" reads as v^(2/3), so the printer brackets the numerator
+        for e in (ex.div(ex.pow_(V, 2), 3), ex.div(ex.mul(X2, ex.pow_(V, 2)), 0)):
+            text = ex.to_str(e)
+            assert ex.same_tree(e, ex.parse(text, ["v", "x2"])), text
+        assert ex.to_str(ex.div(ex.pow_(V, 2), 3)) == "(v^2)/3"
+        assert ex.to_str(ex.div(ex.pow_(V, 2), 0.5)) == "v^2/0.5"
+
+    def test_zero_exponent_denominator_is_a_syntax_error(self):
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.parse("v^2/0", ["v"])
+
 
 @st.composite
 def safe_exprs(draw):
@@ -235,3 +273,59 @@ class TestDerivativeProperty:
     @given(safe_exprs())
     def test_print_parse_structural_identity(self, e):
         assert ex.same_tree(e, ex.parse(ex.to_str(e), ("v", "x2")))
+
+
+FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+BIG = 1e100
+
+
+def _consts_bounded(e):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ex.Const) and not abs(node.value) <= BIG:
+            return False
+        stack.extend(expr_children(node))
+    return True
+
+
+def _bounded(make):
+    """Apply a smart constructor to drawn children. When constant folding
+    leaves a constant beyond BIG, keep the first child instead, so that no
+    later fold can overflow to inf or nan (nan never compares equal)."""
+    def build(args):
+        out = make(*args)
+        return out if _consts_bounded(out) else args[0]
+    return build
+
+
+def _extend(children):
+    binary = st.sampled_from((ex.add, ex.sub, ex.mul, ex.div))
+    unary = st.sampled_from((ex.neg, ex.sin, ex.cos, ex.exp, ex.ln, ex.sqrt,
+                             ex.abs_, ex.sign))
+    exponents = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.one_of(
+        st.tuples(children, children, binary).map(_bounded(lambda a, b, f: f(a, b))),
+        st.tuples(children, unary).map(_bounded(lambda a, f: f(a))),
+        st.tuples(children, exponents).map(_bounded(ex.pow_)),
+        st.tuples(children, FINITE).map(_bounded(ex.intv)),
+    )
+
+
+constructor_exprs = st.recursive(
+    st.one_of(FINITE.map(ex.const), st.sampled_from(("v", "x2")).map(ex.var)),
+    _extend, max_leaves=16)
+
+
+class TestSimplifyFixedPoint:
+    """The smart constructors already simplify, so simplify() returns a tree
+    built by them (or by the parser, which uses them) unchanged. That is why
+    no builder in the package calls it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(constructor_exprs)
+    def test_constructor_and_parser_trees_are_fixed_points(self, e):
+        for tree in (e, ex.parse(ex.to_str(e), ("v", "x2"))):
+            s = ex.simplify(tree)
+            assert ex.same_tree(s, tree)
+            assert ex.to_str(s) == ex.to_str(tree)

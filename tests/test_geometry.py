@@ -14,7 +14,7 @@ from nhgeo import expr as ex
 from nhgeo import geometry as geo
 from nhgeo.numerics import Grid
 
-from conftest import max_abs_at, random_points
+from conftest import expr_children, max_abs_at, random_points
 
 X2, X3, V = ex.var("x2"), ex.var("x3"), ex.var("v")
 C5 = geo.chart_5d()
@@ -324,16 +324,20 @@ class TestCurvature:
         d = ex.sub(ric.ha(1, 0), ric.ah(0, 1))
         assert max_abs_at(d, PTS[:6]) > 1e-4
 
-    def test_lc_engine_matches_coordinate_computation(self):
-        # lean but structurally complete data (w and n both active, x- and
-        # v-dependence in every sector); the full generic version is
-        # symbolically much heavier without testing anything extra
+    @staticmethod
+    def lean_lc_metric():
+        """Lean but structurally complete data: w and n both active, x- and
+        v-dependence in every sector."""
         g = geo.DMetric.diagonal(
             [1, ex.exp(X2), ex.add(1, ex.mul(0.2, X3))],
             [ex.add(1, ex.mul(0.5, V ** 2)), ex.add(2, ex.mul(0.3, X2, V))])
         N = geo.NConnection.build(
             [[0, 0], [ex.mul(0.2, V, X2), ex.mul(0.3, V ** 2)],
              [0, ex.mul(0.1, X3)]])
+        return g, N
+
+    def test_lc_engine_matches_coordinate_computation(self):
+        g, N = self.lean_lc_metric()
         lc = geo.lc_decomposition(g, N, C5)
         ric_frame = geo.curvature_ricci(lc, g, N, C5)
         ric_coord = geo.coordinate_lc_ricci(g, N, C5)
@@ -342,6 +346,22 @@ class TestCurvature:
                  for b in range(5) for t in range(5)]
         worst = max(abs(v) for p in PTS[:3] for v in ex.evaluate_many(comps, p))
         assert worst < 1e-11
+
+    def test_lc_ricci_dag_keeps_sharing(self):
+        # The builders share subtrees instead of copying them: the frame
+        # Ricci of the lean metric is ~3.8k node objects. Copying the tables
+        # (simplify() returns a copy) multiplies that ~30x without adding a
+        # distinct node, and defeats the memos keyed on object identity.
+        g, N = self.lean_lc_metric()
+        ric = geo.curvature_ricci(geo.lc_decomposition(g, N, C5), g, N, C5)
+        seen = set()
+        stack = [e for row in ric.ricci for e in row]
+        while stack:
+            e = stack.pop()
+            if id(e) not in seen:
+                seen.add(id(e))
+                stack.extend(expr_children(e))
+        assert len(seen) < 20_000
 
 
 class TestClosedFormOracles:
@@ -437,13 +457,15 @@ class TestSympyOracle:
 
     @staticmethod
     def metric_strings(seed):
-        """A random 4D metric: diagonal g and h blocks, every one x- and
-        v-dependent, and all four N entries nonzero, so every coordinate
+        """A random 4D metric: off-diagonal g and h blocks, every entry x-
+        or v-dependent, and all four N entries nonzero, so every coordinate
         component is."""
-        c = [repr(float(x)) for x in np.random.default_rng(seed).uniform(0.1, 0.4, 11)]
-        g = [[f"exp({c[0]}*x2)*(1 + {c[1]}*x3)", "0"],
-             ["0", f"1 + {c[2]}*x2^2 + {c[3]}*v"]]
-        h = [[f"1 + {c[4]}*v^2 + {c[5]}*x2", "0"], ["0", f"2 + {c[6]}*x3*v"]]
+        c = [repr(float(x)) for x in np.random.default_rng(seed).uniform(0.1, 0.4, 13)]
+        g01 = f"{c[11]}*x3"
+        h01 = f"{c[12]}*v*x2"
+        g = [[f"exp({c[0]}*x2)*(1 + {c[1]}*x3)", g01],
+             [g01, f"1 + {c[2]}*x2^2 + {c[3]}*v"]]
+        h = [[f"1 + {c[4]}*v^2 + {c[5]}*x2", h01], [h01, f"2 + {c[6]}*x3*v"]]
         N = [[f"{c[7]}*v*x2", f"{c[8]}*v^2"], [f"{c[9]}*x3", f"{c[10]}*x2*v"]]
         return g, h, N
 
