@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -36,10 +35,16 @@ CSV_COLUMNS = ("x1", "x2", "x3", "v", "y5", "chi")
 
 
 def _write_csv(path: str, reports) -> None:
+    """Header, then the lines of each report; consecutive reports on the
+    same points share one formatting of the coordinate text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["equation", *CSV_COLUMNS, "residual"])
+        prev = coords = None
         for rep in reports:
-            fh.writelines(rep.csv_rows(CSV_COLUMNS))
+            if prev is None or not rep.same_points(prev):
+                coords = rep.coordinate_text(CSV_COLUMNS)
+            fh.writelines(rep.csv_rows(CSV_COLUMNS, coords))
+            prev = rep
 
 
 def _summarize(reports, out=None) -> bool:
@@ -93,7 +98,7 @@ def _eval_error(message) -> int:
 # verification core (shared by verify/generate pipelines)
 # ---------------------------------------------------------------------------
 
-def _ricci_layout_reports(gm, ric, source, grid, tol, jobs, params=None):
+def _ricci_layout_reports(gm, ric, source, grid, tol, params=None):
     """Engine Ricci residuals against the diagonal source layout (in Ricci
     form: R^2_2 = R^3_3 = -Y4, S^4_4 = S^5_5 = -Y2, everything else zero)."""
     n, m = gm.chart.n, gm.chart.m
@@ -111,7 +116,7 @@ def _ricci_layout_reports(gm, ric, source, grid, tol, jobs, params=None):
                ("R5i", [ric.ah(1, i) for i in range(n)]),
                ("ricci-rest", rest)]
     cols = grid.arrays()
-    return [grid_report(label, exprs, cols, tol, extra=params, jobs=jobs)
+    return [grid_report(label, exprs, cols, tol, extra=params)
             for label, exprs in groups]
 
 
@@ -143,16 +148,16 @@ def _oracle_reports(gm, ric, grid, tol, rng, points):
                       gen.closed_r4i(h4, h5, gm.nconn.entry(i, 0), xi)))
         pairs.append((f"oracle-R5{xi[1]}", ric.ah(1, i),
                       gen.closed_r5i(h4, h5, gm.nconn.entry(i, 1))))
+    vals = evaluate_on_grid([e for _, engine, closed in pairs
+                             for e in (engine, closed)], pts)
     out = []
-    for label, engine, closed in pairs:
-        e = evaluate_on_grid(engine, pts)
-        c = evaluate_on_grid(closed, pts)
+    for (label, _, _), e, c in zip(pairs, vals[0::2], vals[1::2]):
         rel = np.abs(e - c) / (1.0 + np.abs(c))
         out.append(ResidualReport.from_grid(label, pts, rel, tol))
     return out
 
 
-def verification_reports(gm, source, grid, tol, jobs=1, seed=0,
+def verification_reports(gm, source, grid, tol, seed=0,
                          oracle_points=50, oracle_tol=1e-9,
                          checks=("ricci", "oracles"), params=None):
     """Reports for the requested check groups: 'ricci' (engine residuals vs
@@ -167,7 +172,7 @@ def verification_reports(gm, source, grid, tol, jobs=1, seed=0,
         conn = canonical_dconnection(gm.metric, gm.nconn, gm.chart)
         ric = curvature_ricci(conn, gm.metric, gm.nconn, gm.chart)
     if "ricci" in checks:
-        reports += _ricci_layout_reports(gm, ric, source, grid, tol, jobs, params)
+        reports += _ricci_layout_reports(gm, ric, source, grid, tol, params)
     if "oracles" in checks:
         rng = np.random.default_rng(seed)
         reports += _oracle_reports(gm, ric, grid, oracle_tol, rng, oracle_points)
@@ -195,7 +200,7 @@ def cmd_generate(args) -> int:
     tol = _tolerance(args, cfg, 1e-10)
 
     params = {str(k): float(v) for k, v in dict(cfg.get("param_values", {})).items()}
-    reports = []
+    reports, gm = [], None
     try:
         if family == "gensol1_5d":
             gm = gen.generate_5d(recipe, src, grid=grid, extra=params or None)
@@ -207,9 +212,17 @@ def cmd_generate(args) -> int:
         else:
             gm, reports = gen.generate_sourced_lc(recipe, grid, tol,
                                                   extra=params or None)
+        # the written metric must evaluate on the recipe's own grid. Left to
+        # verify: entries with parameters that have no value here, and
+        # entries holding running integrals, each of which costs an adaptive
+        # quadrature per distinct (v, x...) grid tuple
+        bound = {*grid.names, *params}
+        evaluate_on_grid([e for _, e in _metric_entries(gm)
+                          if e.free_vars <= bound and not ex.has_integral(e)],
+                         grid.arrays(), extra=params)
     except ex.EvalError as err:
-        return _eval_error(_locate_eval_error(_function_entries(cfg), grid, err,
-                                              (params,)))
+        entries = _function_entries(cfg) + (_metric_entries(gm) if gm else [])
+        return _eval_error(_locate_eval_error(entries, grid, err, (params,)))
 
     payload = ser.metric_to_dict(gm)
     if reports:
@@ -234,13 +247,12 @@ def cmd_verify(args) -> int:
     source = ser.source_from_dict(cfg.get("source"), allowed)
     tol = _tolerance(args, cfg, 1e-8)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    jobs = args.jobs or os.cpu_count() or 1
 
     checks = tuple(cfg.get("checks", ("ricci", "oracles")))
     params = {str(k): float(v) for k, v in dict(cfg.get("params", {})).items()}
     try:
         reports = verification_reports(
-            gm, source, grid, tol, jobs=jobs, seed=seed,
+            gm, source, grid, tol, seed=seed,
             oracle_points=int(cfg.get("oracle_points", 50)),
             oracle_tol=float(cfg.get("oracle_tolerance", 1e-9)),
             checks=checks, params=params or None)
@@ -402,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", help="output path")
         sp.add_argument("--tol", type=float, help="tolerance override")
-        sp.add_argument("--jobs", type=int, help="parallel evaluation chunks")
+        sp.add_argument("--jobs", type=int,
+                        help="accepted for compatibility; has no effect")
         sp.add_argument("--seed", type=int, help="random seed for sampled checks")
 
     common(sub.add_parser("generate", help="build a metric from a recipe"))
@@ -429,10 +442,12 @@ _HANDLERS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         return EXIT_CONFIG if err.code not in (0, None) else 0
     try:

@@ -42,8 +42,8 @@ __all__ = [
     "DivisionByZeroError", "DomainError", "UnboundVariableError",
     "as_expr", "const", "var", "add", "mul", "sub", "div", "neg", "pow_",
     "sin", "cos", "exp", "ln", "sqrt", "abs_", "sign", "intv",
-    "parse", "to_str", "diff", "evaluate", "simplify", "same_tree", "free_vars",
-    "ZERO", "ONE",
+    "parse", "to_str", "diff", "evaluate", "Program", "simplify", "same_tree",
+    "free_vars", "has_integral", "ZERO", "ONE",
 ]
 
 
@@ -399,7 +399,7 @@ def _func(kind: str, arg) -> Expr:
         if kind in table:
             try:
                 return const(table[kind](v))
-            except OverflowError:
+            except (OverflowError, ValueError):  # exp overflow, sin(inf)
                 pass
         elif kind == "ln" and v > 0.0:
             return const(math.log(v))
@@ -595,6 +595,19 @@ def free_vars(e: Expr) -> frozenset:
     return e.free_vars
 
 
+def has_integral(e: Expr) -> bool:
+    """Whether ``e`` holds an ``intv`` node (evaluating it runs quadrature)."""
+    stack, seen = [e], set()
+    while stack:
+        n = stack.pop()
+        if isinstance(n, IntegralV):
+            return True
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(_kids(n))
+    return False
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -621,6 +634,83 @@ def evaluate_many(exprs, point: Mapping[str, Value]) -> list:
             v = _ev(e, point, memo)
             out.append(v if isinstance(v, np.ndarray) else float(v))
     return out
+
+
+def _kids(e: Expr) -> tuple:
+    """Operands that evaluation reads from the memo. An ``IntegralV`` has none:
+    its integrand runs inside the quadrature, so the node is one step."""
+    t = type(e)
+    if t is Sum:
+        return e.terms
+    if t is Product:
+        return e.factors
+    if t is Quot:
+        return (e.num, e.den)
+    if t is Pow:
+        return (e.base,)
+    if t is Neg or t is Func:
+        return (e.arg,)
+    return ()
+
+
+class Program:
+    """Straight-line evaluation of several expressions over their union DAG.
+
+    ``steps`` lists every distinct node (by object identity, as the
+    evaluation memo keys them) in the order the recursive memo walk of
+    ``evaluate_many`` first finishes them, so the same node fails first and
+    every value is computed by the same per-node kernel. ``rows[i]`` are the
+    output rows that receive step i's value and ``frees[i]`` the memo keys
+    whose last use is step i: run() keeps only live values."""
+
+    __slots__ = ("steps", "rows", "frees", "size")
+
+    def __init__(self, exprs):
+        exprs = list(exprs)
+        index: dict = {}
+        steps = []
+        for root in exprs:
+            if id(root) in index:
+                continue
+            stack = [(root, iter(_kids(root)))]
+            while stack:
+                node, kids = stack[-1]
+                for c in kids:
+                    if id(c) not in index:
+                        stack.append((c, iter(_kids(c))))
+                        break
+                else:
+                    stack.pop()
+                    index[id(node)] = len(steps)
+                    steps.append(node)
+        last = list(range(len(steps)))
+        for i, node in enumerate(steps):
+            for c in _kids(node):
+                last[index[id(c)]] = i
+        rows: list = [() for _ in steps]
+        for k, root in enumerate(exprs):
+            i = index[id(root)]
+            rows[i] += (k,)
+        frees: list = [[] for _ in steps]
+        for j, i in enumerate(last):
+            frees[i].append(id(steps[j]))
+        self.steps = tuple(steps)
+        self.rows = tuple(rows)
+        self.frees = tuple(map(tuple, frees))
+        self.size = len(exprs)
+
+    def run(self, env: Mapping[str, Value], out: np.ndarray) -> np.ndarray:
+        """Write the value of expression k into ``out[k]`` (broadcast over
+        the row) and return ``out``."""
+        memo: dict = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for node, rows, dead in zip(self.steps, self.rows, self.frees):
+                val = memo[id(node)] = _ev_node(node, env, memo)
+                for k in rows:
+                    out[k] = val
+                for key in dead:
+                    del memo[key]
+        return out
 
 
 def _any(x) -> bool:
@@ -743,7 +833,7 @@ _INT_EXPONENT_END = re.compile(r"\^\d+$")
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -815,6 +905,16 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _finite(e: Expr, pos: int) -> Expr:
+    """``e``, unless constant folding left a non-finite constant in it (the
+    node itself, or the folded term of a sum or factor of a product)."""
+    for c in (e, *_kids(e)):
+        if isinstance(c, Const) and not math.isfinite(c.value):
+            raise ExprSyntaxError(f"constant folds to {c.value!r}", pos,
+                                  expected="a finite constant")
+    return e
+
+
 class _Parser:
     def __init__(self, src: str, allowed: frozenset):
         self.src = src
@@ -865,22 +965,22 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.next()
                 rhs = self.term()
-                e = add(e, rhs) if text == "+" else sub(e, rhs)
+                e = _finite(add(e, rhs) if text == "+" else sub(e, rhs), pos)
             else:
                 return e
 
     def term(self) -> Expr:
         e = self.unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.next()
                 rhs = self.unary()
-                e = mul(e, rhs) if text == "*" else div(e, rhs)
+                e = _finite(mul(e, rhs) if text == "*" else div(e, rhs), pos)
             else:
                 return e
 
@@ -938,7 +1038,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.next()
         if kind == "num":
-            return const(float(text))
+            return _finite(const(float(text)), pos)
         if kind == "name":
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "(":
@@ -967,6 +1067,9 @@ class _Parser:
                 raise ExprSyntaxError(f"got {text!r}", p2, expected="numeric lower limit")
             self.expect_op(")")
             lower = -float(text) if negate else float(text)
+            if not math.isfinite(lower):
+                raise ExprSyntaxError("lower limit is not finite", p2,
+                                      expected="numeric lower limit")
             return intv(integrand, lower)
         if fname not in _FUNCS:
             raise ExprSyntaxError(f"unknown function {fname!r}", pos,

@@ -5,7 +5,8 @@ coordinate v; everything here is plain adaptive Simpson with a Richardson
 error estimate. Residual checks over grids are collected in ResidualReport
 objects, the toolkit's universal notion of "this metric solves equation X
 to tolerance tau". grid_report is the only path from expressions to a
-max-abs ResidualReport.
+max-abs ResidualReport; it evaluates a report's expressions as one program
+(expr.Program) on the calling thread.
 """
 
 from __future__ import annotations
@@ -262,25 +263,42 @@ class ResidualReport:
             "worst_at": self.worst_at,
         }
 
-    def csv_rows(self, all_columns: Sequence[str]) -> list:
+    def csv_rows(self, all_columns: Sequence[str],
+                 coords: Sequence[str] | None = None) -> list:
         """One encoded CSV line per row under a fixed column layout; absent
         coordinates are blank.
 
         Lines end in CRLF, the label is quoted by the ``csv`` module's rules
         and floats are ``repr`` text. Columns are formatted whole: each
         distinct float64 bit pattern is formatted once (so -0.0 and 0.0 keep
-        their own text) and looked up for every row.
+        their own text) and looked up for every row. ``coords`` is this
+        report's ``coordinate_text(all_columns)`` when the caller already has
+        it from a report with the same points.
         """
-        n = self.residuals.size
-        if not n:
+        if not self.residuals.size:
             return []
+        if coords is None:
+            coords = self.coordinate_text(all_columns)
+        label = itertools.repeat(_csv_field(self.equation) + ",")
+        residuals = _float_texts(self.residuals, "\r\n")
+        return list(map("".join, zip(label, coords, residuals)))
+
+    def coordinate_text(self, all_columns: Sequence[str]) -> list:
+        """The coordinate fields of every row under ``all_columns``, each
+        followed by a comma."""
+        n = self.residuals.size
         index = {c: i for i, c in enumerate(self.columns)}
-        fields = [itertools.repeat(_csv_field(self.equation), n)]
-        for c in all_columns:
-            fields.append(_float_texts(self.points[:, index[c]]) if c in index
-                          else itertools.repeat("", n))
-        fields.append(_float_texts(self.residuals, "\r\n"))
+        fields = [_float_texts(self.points[:, index[c]]) if c in index
+                  else itertools.repeat("", n) for c in all_columns]
+        fields.append(itertools.repeat("", n))
         return list(map(",".join, zip(*fields)))
+
+    def same_points(self, other: "ResidualReport") -> bool:
+        """Same coordinate columns and bit-identical points, so that both
+        reports print the same coordinate text."""
+        a, b = (np.ascontiguousarray(r.points, dtype=np.float64) for r in (self, other))
+        return (self.columns == other.columns and a.shape == b.shape
+                and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
 def _csv_field(text: str) -> str:
@@ -312,50 +330,55 @@ def chunk_slices(total: int, jobs: int) -> list:
     return [slice(i, min(i + step, total)) for i in range(0, total, step)]
 
 
-def evaluate_on_grid(e: ex.Expr, cols: Mapping[str, np.ndarray], jobs: int = 1,
+def evaluate_on_grid(e: ex.Expr | Sequence[ex.Expr], cols: Mapping[str, np.ndarray],
+                     jobs: int = 1,
                      extra: Mapping[str, float] | None = None) -> np.ndarray:
-    """Evaluate an expression over flattened grid columns, optionally in
-    statically partitioned chunks (pure evaluation, safe to run concurrently)."""
+    """Evaluate one expression (1-D result) or a sequence of k expressions
+    (``(k, n)`` result, one ``ex.Program`` over their union DAG, so shared
+    subtrees and quadratures run once) over flattened grid columns,
+    optionally in statically partitioned chunks that each run the program
+    (pure evaluation, safe to run concurrently)."""
+    single = isinstance(e, ex.Expr)
+    prog = ex.Program([e] if single else e)
     env = dict(cols)
     if extra:
         env.update({k: float(v) for k, v in extra.items()})
     sizes = [v.size for v in env.values() if isinstance(v, np.ndarray)]
     total = sizes[0] if sizes else 1
+    out = np.empty((prog.size, total), dtype=float)
     if jobs <= 1 or total < 4:
-        return np.broadcast_to(np.asarray(ex.evaluate(e, env)), (total,)).copy() \
-            if total else np.asarray([])
-    from concurrent.futures import ThreadPoolExecutor
+        if total:
+            prog.run(env, out)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    out = np.empty(total, dtype=float)
-    slices = chunk_slices(total, jobs)
+        def work(sl: slice):
+            sub = {k: (v[sl] if isinstance(v, np.ndarray) else v)
+                   for k, v in env.items()}
+            prog.run(sub, out[:, sl])
 
-    def work(sl: slice):
-        sub = {k: (v[sl] if isinstance(v, np.ndarray) else v) for k, v in env.items()}
-        out[sl] = np.broadcast_to(np.asarray(ex.evaluate(e, sub)),
-                                  (sl.stop - sl.start,))
-
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        list(pool.map(work, slices))
-    return out
+        slices = chunk_slices(total, jobs)
+        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+            list(pool.map(work, slices))
+    return out[0] if single else out
 
 
 def grid_report(label: str, exprs: Iterable[ex.Expr],
                 cols: Mapping[str, np.ndarray], tol: float,
-                extra: Mapping[str, float] | None = None,
-                jobs: int = 1) -> ResidualReport:
+                extra: Mapping[str, float] | None = None) -> ResidualReport:
     """Report of max |e| over ``exprs`` at every grid point.
 
-    Structurally zero expressions are skipped; the rest are evaluated one at
-    a time. ``cols`` are the report's columns, ``extra`` binds further names
-    for evaluation only.
+    Structurally zero expressions are skipped; the rest are evaluated as one
+    program on the calling thread. ``cols`` are the report's columns,
+    ``extra`` binds further names for evaluation only.
     """
-    vals = None
-    for e in exprs:
-        if isinstance(e, ex.Const) and e.value == 0.0:
-            continue
-        vv = np.abs(evaluate_on_grid(e, cols, jobs=jobs, extra=extra))
-        vals = vv if vals is None else np.maximum(vals, vv)
-    if vals is None:
+    live = [e for e in exprs if not (isinstance(e, ex.Const) and e.value == 0.0)]
+    if live:
+        rows = evaluate_on_grid(live, cols, extra=extra)
+        vals = np.abs(rows[0])
+        for row in rows[1:]:
+            np.maximum(vals, np.abs(row), out=vals)
+    else:
         sizes = [v.size for v in cols.values() if isinstance(v, np.ndarray)]
         vals = np.zeros(sizes[0] if sizes else 1)
     return ResidualReport.from_grid(label, cols, vals, tol)

@@ -108,6 +108,24 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "functions.f = v + sqrt(x2 - 1)" in err and "grid point" in err
 
+    def test_metric_that_fails_on_its_grid_exits_4(self, tmp_path, capsys):
+        recipe = vacuum_recipe()
+        recipe["functions"]["g2"] = "sqrt(x2 - 1)"
+        cfg = write(tmp_path, "recipe.json", recipe)
+        out = tmp_path / "m.json"
+        assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "functions.g2 = sqrt(x2 - 1)" in err and "grid point" in err
+        assert not out.exists()
+
+    def test_non_finite_constant_exits_2(self, tmp_path, capsys):
+        recipe = vacuum_recipe()
+        recipe["functions"]["g3"] = "exp(x2)*1e200*1e200"
+        cfg = write(tmp_path, "recipe.json", recipe)
+        assert cli.main(["generate", "--config", cfg,
+                         "--out", str(tmp_path / "m.json")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_vacuum_lc_family_with_reports(self, tmp_path):
         cfg = write(tmp_path, "lc.json", {
             "family": "vacuum_lc", "signatures": [1, 1, 1, 1],
@@ -205,6 +223,29 @@ class TestVerify:
         assert cli.main(["verify", "--config", vcfg,
                          "--out", str(tmp_path / "v.csv")]) == 0
         assert len(calls) == 1
+
+    def test_reports_start_no_thread(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        metric = self.make_metric(tmp_path)
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": metric, "grid": GRID5Y, "tolerance": 1e-8,
+                      "checks": ["ricci", "oracles", "lc"]})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        # --jobs is accepted and has no effect; this metric is not
+        # Levi-Civita compatible, so the lc group fails (exit 1)
+        assert cli.main(["verify", "--config", vcfg, "--jobs", "4",
+                         "--out", str(tmp_path / "v.csv")]) == 1
+        gm = ser.metric_from_dict(json.loads((tmp_path / "metric.json").read_text()))
+        grid = ser.grid_from_dict(GRID5Y)
+        source = ser.source_from_dict(None, gm.chart.all_names)
+        reports = cli.verification_reports(gm, source, grid, 1e-8,
+                                           checks=("ricci", "oracles", "lc"))
+        assert len(reports) == 15 and not reports[-1].passed
 
     def test_csv_header_contract(self, tmp_path):
         metric = self.make_metric(tmp_path)
@@ -366,6 +407,22 @@ class TestExpr:
     def test_unknown_variable_exit_2(self):
         assert cli.main(["expr", "check", "q + 1", "--vars", "v"]) == 2
 
+    def test_overflowing_constant_exit_2(self, capsys):
+        assert cli.main(["expr", "check", "1e200*1e200", "--vars", "v"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_function_argument_exit_2(self, capsys):
+        assert cli.main(["expr", "check", "sin(1e200*1e200)", "--vars", "v"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, monkeypatch):
+        def refuse():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert cli.main(["expr", "check", "v", "--vars", "v"]) == 0
+        assert cli.main(["expr", "check", "w", "--vars", "v"]) == 2
+
 
 class TestInternalError:
     def test_crash_exits_6_with_one_line(self, monkeypatch, capsys):
@@ -426,6 +483,17 @@ class TestMoreFamilies:
             "params": {"theta1": 0.4}})
         assert cli.main(["verify", "--config", vcfg,
                          "--out", str(tmp_path / "vp.csv")]) == 0
+
+    def test_parameter_without_value_is_left_to_verify(self, tmp_path):
+        cfg = write(tmp_path, "rp.json", {
+            "family": "gensol1_5d", "signatures": [1, 1, 1, 1, 1],
+            "params": ["theta1"],
+            "functions": {"g2": "exp(x2)", "g3": "exp(x2)", "f": "v",
+                          "n1_1": "theta1*x3"},
+            "v0": 1.0, "grid": GRID5})
+        out = str(tmp_path / "mp.json")
+        assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+        assert "theta1" in json.loads((tmp_path / "mp.json").read_text())["N"][0][1]
 
     def test_eval_error_binds_params(self, tmp_path, capsys):
         # h[0][0] depends on theta1; the locator must bind it to reach N
@@ -521,6 +589,21 @@ class TestCsvWriter:
         assert "\r\nno-coords,,,,,,,nan\r\n" in got
         assert "empty" not in got
         assert len(reports[0].csv_rows(cli.CSV_COLUMNS)) == 200
+
+    def test_shared_coordinate_text_keeps_signed_zeros(self, tmp_path):
+        v = np.array([0.0, 1.0, 2.0])
+        signed = np.array([-0.0, 1.0, 2.0])
+        res = np.array([1e-3, 0.0, -0.0])
+        reports = [ResidualReport.from_grid(label, {"v": col}, res, 1e-8)
+                   for label, col in (("a", v), ("b", v), ("c", signed),
+                                      ("d", signed), ("e", v))]
+        reports.append(ResidualReport.from_grid("f", {"x2": v}, res, 1e-8))
+        assert reports[0].same_points(reports[1])
+        assert not reports[1].same_points(reports[2])
+        assert not reports[4].same_points(reports[5])
+        got = self.assert_matches_reference(tmp_path, reports).decode()
+        assert "\r\nc,,,,-0.0,,,0.001\r\n" in got
+        assert "\r\ne,,,,0.0,,,0.001\r\n" in got
 
     def test_real_reports(self, tmp_path, monkeypatch):
         captured = []

@@ -185,6 +185,94 @@ class TestEvaluate:
         assert ex.evaluate(e, p) == ex.evaluate(e, p)
 
 
+def generic_5d_ricci():
+    """Canonical Ricci table of a generic 5D metric: full g and h blocks and
+    all six N entries nonzero, with x and v in every block."""
+    from nhgeo import geometry as geo
+
+    X1 = ex.var("x1")
+    g = [[ex.add(2, ex.mul(0.1, X2 ** 2)), ex.mul(0.1, X3, V), ex.mul(0.05, X1)],
+         [None, ex.mul(ex.exp(ex.mul(0.2, X2)), ex.add(2, ex.mul(0.1, V))),
+          ex.mul(0.1, X1, X2)],
+         [None, None, ex.add(2, ex.mul(0.2, X3), ex.mul(0.1, V ** 2))]]
+    h = [[ex.add(2, ex.mul(0.5, V ** 2), ex.mul(0.2, X2)), ex.mul(0.1, X3, V)],
+         [None, ex.add(3, ex.mul(0.3, V), ex.mul(0.1, X1, V))]]
+    for block in (g, h):
+        for i, row in enumerate(block):
+            for j in range(i):
+                row[j] = block[j][i]
+    N = [[ex.mul(0.1, V, X2), ex.mul(0.2, X3)],
+         [ex.add(ex.mul(0.2, V), ex.mul(0.1, X1)), ex.mul(0.3, V ** 2, X3)],
+         [ex.mul(0.1, V ** 2), ex.add(ex.mul(0.05, V ** 3), ex.mul(0.1, X2))]]
+    chart = geo.chart_5d()
+    metric = geo.DMetric.build(g, h)
+    nconn = geo.NConnection.build(N)
+    conn = geo.canonical_dconnection(metric, nconn, chart)
+    ricci = geo.curvature_ricci(conn, metric, nconn, chart)
+    return [c for row in ricci.ricci for c in row] + [ricci.scalar]
+
+
+class TestProgram:
+    """expr.Program: one straight-line pass over the union DAG of several
+    expressions, with each value freed after its last use."""
+
+    def test_generic_ricci_bitwise_equal_to_per_component_evaluate(self):
+        comps = generic_5d_ricci()
+        axes = np.meshgrid(*[np.linspace(0.6, 1.4, 3)] * 5, indexing="ij")
+        env = {n: a.reshape(-1) for n, a in zip(("x1", "x2", "x3", "v", "y5"), axes)}
+        prog = ex.Program(comps)
+        got = prog.run(env, np.empty((len(comps), env["v"].size)))
+        for row, e in zip(got, comps):
+            want = np.broadcast_to(ex.evaluate(e, env), row.shape)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        # the components share most of their nodes
+        assert len(prog.steps) < sum(len(ex.Program([e]).steps) for e in comps) / 3
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_first_failure_is_the_one_per_component_evaluation_raises(self, order):
+        shared = ex.sub(V, 1)
+        comps = [ex.add(ex.sqrt(X2), ex.div(1, shared)),    # division by zero
+                 ex.mul(ex.sin(shared), ex.ln(ex.sub(X2, 2)))]  # ln domain
+        comps = [comps[k] for k in order]
+        env = {"v": np.array([0.5, 1.0, 1.5]), "x2": np.array([1.0, 1.0, 1.0])}
+        with pytest.raises(ex.EvalError) as want:
+            for e in comps:
+                ex.evaluate(e, env)
+        with pytest.raises(ex.EvalError) as got:
+            ex.Program(comps).run(env, np.empty((2, 3)))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_last_use_table_frees_every_slot_once_after_its_consumers(self):
+        comps = generic_5d_ricci()[:6]
+        comps.append(comps[0])                  # a root listed twice
+        prog = ex.Program(comps)
+        freed_at = {}
+        for i, keys in enumerate(prog.frees):
+            for key in keys:
+                assert key not in freed_at
+                freed_at[key] = i
+        assert set(freed_at) == {id(s) for s in prog.steps}
+        assert len(freed_at) == len(prog.steps)
+        for i, node in enumerate(prog.steps):
+            assert freed_at[id(node)] >= i
+            for c in expr_children(node) if not isinstance(node, ex.IntegralV) else ():
+                assert freed_at[id(c)] >= i
+        assert [k for rows in prog.rows for k in rows] != []
+        assert sorted(k for rows in prog.rows for k in rows) == list(range(len(comps)))
+
+    def test_constant_and_variable_roots_broadcast(self):
+        out = ex.Program([ex.const(2.5), V]).run({"v": np.array([1.0, 2.0])},
+                                                 np.empty((2, 2)))
+        assert out.tolist() == [[2.5, 2.5], [1.0, 2.0]]
+
+    def test_integral_is_one_step(self):
+        F = ex.intv(ex.mul(X2, V), 1.0)
+        prog = ex.Program([ex.add(F, V), ex.mul(F, X2)])
+        assert sum(isinstance(s, ex.IntegralV) for s in prog.steps) == 1
+        assert not any(s is F.integrand for s in prog.steps)
+
+
 class TestSimplify:
     def test_zero_product_absorbed(self):
         e = ex.Sum((ex.Product((ex.Const(0.0), ex.sin(X2))), V))
@@ -241,6 +329,17 @@ class TestRoundTrip:
             assert ex.same_tree(e, ex.parse(text, ["v", "x2"])), text
         assert ex.to_str(ex.div(ex.pow_(V, 2), 3)) == "(v^2)/3"
         assert ex.to_str(ex.div(ex.pow_(V, 2), 0.5)) == "v^2/0.5"
+
+    @pytest.mark.parametrize("src", ["1e200*1e200", "sin(1e200*1e200)", "1e400",
+                                     "v*1e200*1e200", "v + 1e308 + 1e308",
+                                     "1e300/1e-300", "intv(v, 1e400)"])
+    def test_non_finite_constant_is_a_syntax_error(self, src):
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.parse(src, ["v"])
+
+    def test_non_finite_constants_print_and_do_not_fold(self):
+        assert ex.to_str(ex.Const(math.inf)) == "inf"
+        assert isinstance(ex.sin(ex.Const(math.inf)), ex.Func)
 
     def test_zero_exponent_denominator_is_a_syntax_error(self):
         with pytest.raises(ex.ExprSyntaxError):

@@ -178,6 +178,55 @@ class TestGridReport:
         assert np.array_equal(rep.residuals, [1.0, 2.0, 3.0])
 
 
+class TestProgramOnGrid:
+    def test_sequence_gives_one_row_per_expression(self):
+        cols = nm.Grid.build({"v": (0.2, 1.4, 13), "x2": (0.5, 1.5, 3)}).arrays()
+        exprs = [ex.parse("sin(v)*x2 + v^2", ["v", "x2"]), ex.const(3.0), V]
+        rows = nm.evaluate_on_grid(exprs, cols)
+        assert rows.shape == (3, 39)
+        for row, e in zip(rows, exprs):
+            assert np.array_equal(row, nm.evaluate_on_grid(e, cols))
+        assert np.array_equal(rows, nm.evaluate_on_grid(exprs, cols, jobs=4))
+
+    def test_shared_integral_runs_once_per_abscissa_set(self, monkeypatch):
+        calls = []
+        simpson = nm.adaptive_simpson
+
+        def counted(f, a, b, q=nm.DEFAULT_QUADRATURE):
+            calls.append((a, b))
+            return simpson(f, a, b, q)
+
+        monkeypatch.setattr(nm, "adaptive_simpson", counted)
+        F = ex.intv(ex.mul(ex.var("x2"), V), 1.0)
+        comps = [ex.add(F, V), ex.mul(F, ex.var("x2")), ex.sin(F)]
+        cols = nm.Grid.build({"v": (0.5, 1.5, 3), "x2": (0.5, 1.5, 3),
+                              "x3": (0.5, 1.5, 2)}).arrays()
+        nm.evaluate_on_grid(F, cols)
+        once = len(calls)
+        calls.clear()
+        rep = nm.grid_report("eq", comps, cols, 1.0)
+        # the quadratures of one distinct (v, x2) each, not one per component
+        assert len(calls) == once
+        assert {(a, b) for a, b in calls if a <= b} == {
+            (min(1.0, v), max(1.0, v)) for v in (0.5, 1.0, 1.5)}
+        calls.clear()
+        for e in comps:
+            nm.evaluate_on_grid(e, cols)
+        assert len(calls) == 3 * once
+        assert rep.residuals.size == 18
+
+    def test_grid_report_starts_no_thread(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid_report started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        cols = nm.Grid.build({"v": (0.5, 1.5, 40)}).arrays()
+        rep = nm.grid_report("eq", [ex.sub(V, 1), ex.mul(V, V)], cols, 1.0)
+        assert rep.residuals.size == 40
+
+
 class TestReportSerialization:
     def test_json_summary(self):
         import json as _json
