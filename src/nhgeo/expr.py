@@ -22,14 +22,10 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 import numpy as np
-
-if sys.getrecursionlimit() < 20000:  # derivative trees of curvature terms get deep
-    sys.setrecursionlimit(20000)
 
 Number = Union[int, float]
 Value = Union[float, np.ndarray]
@@ -1083,4 +1079,7 @@ def parse(src: str, allowed_vars: Iterable[str]) -> Expr:
     """Parse an expression whose variables are restricted to allowed_vars."""
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0, expected="expression")
-    return _Parser(src, frozenset(allowed_vars)).parse()
+    try:
+        return _Parser(src, frozenset(allowed_vars)).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None

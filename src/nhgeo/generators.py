@@ -22,9 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
+
 from . import expr as ex
-from .geometry import (Chart, DMetric, NConnection, chart_4d, chart_5d,
-                       coordinate_metric)
+from .geometry import (Chart, DMetric, NConnection, SingularMetric, chart_4d,
+                       chart_5d, coordinate_metric)
 from .numerics import Grid, GridExclusionError, ResidualReport, grid_report
 
 __all__ = [
@@ -84,10 +87,6 @@ class Source:
     @classmethod
     def constant(cls, lam: float) -> "Source":
         return cls(ex.const(lam), ex.const(lam), lam)
-
-    @property
-    def is_vacuum(self) -> bool:
-        return ex.is_zero(self.upsilon2) and ex.is_zero(self.upsilon4)
 
     @property
     def v_sector_vanishes(self) -> bool:
@@ -189,10 +188,12 @@ class GeneratedMetric:
         return coordinate_metric(self.metric, self.nconn, self.chart)
 
     def check_grid(self, grid: Grid, min_abs: float = 1e-9, extra=None):
-        """Raise DegenerateRecipe if the grid touches an excluded locus."""
+        """Raise DegenerateRecipe if the grid touches an excluded locus or a
+        block of the metric is singular on it."""
         try:
             grid.check_exclusions(self.excluded, min_abs=min_abs, extra=extra)
-        except GridExclusionError as err:
+            self.metric.validate_invertible(grid, extra=extra)
+        except (GridExclusionError, SingularMetric) as err:
             raise DegenerateRecipe(str(err)) from None
 
 
@@ -245,7 +246,6 @@ def check_h_equation(g2: ex.Expr, g3: ex.Expr, upsilon4: ex.Expr, grid: Grid,
     cols = grid.arrays()
     res = ex.evaluate(ex.add(closed_r22(g2, g3), upsilon4),
                       {**cols, **(extra or {})})
-    import numpy as np
     res = np.broadcast_to(np.asarray(res), (grid.size,))
     return ResidualReport.from_grid("h-equation", cols, res, tol)
 
@@ -286,6 +286,81 @@ def closed_r5i(h4: ex.Expr, h5: ex.Expr, n_i: ex.Expr) -> ex.Expr:
 
 
 # ---------------------------------------------------------------------------
+# the shared construction: block assembly, phi-mixing, LC selection
+# ---------------------------------------------------------------------------
+
+def _assemble(chart: Chart, g_diag, h4: ex.Expr, h5: ex.Expr, w, n,
+              provenance: dict, excluded: tuple, grid: Grid | None = None,
+              extra=None, min_abs: float = 1e-9) -> GeneratedMetric:
+    """The metric with diagonal blocks g_diag and [h4, h5] and N rows
+    [w_i, n_i], checked on the grid when one is given."""
+    out = GeneratedMetric(chart, DMetric.diagonal(g_diag, [h4, h5]),
+                          NConnection.build(list(zip(w, n))),
+                          provenance=provenance, excluded=excluded)
+    if grid is not None:
+        out.check_grid(grid, min_abs=min_abs, extra=extra)
+    return out
+
+
+def _conformal(signatures, psi: ex.Expr) -> list:
+    """The conformally flat h-block [e2 e^psi, e3 e^psi] of the 4D families."""
+    epsi = ex.exp(psi)
+    return [ex.mul(signatures[0], epsi), ex.mul(signatures[1], epsi)]
+
+
+def _phi_mixing(phi: ex.Expr, grid: Grid, extra=None):
+    """The mixing coefficients (w2, w3) with w_i = d_i phi / phi*, or None
+    when phi* vanishes on the grid. The probe is numeric: structural zero
+    detection is only sufficient, and coupling functions like phi* collapse
+    to zero without simplifying to the zero tree."""
+    phistar = _dv(phi)
+    if ex.is_zero(phistar):
+        return None
+    vals = ex.evaluate(phistar, {**grid.arrays(), **(extra or {})})
+    if np.max(np.abs(np.asarray(vals))) < 1e-12:
+        return None
+    return ex.div(_d2(phi), phistar), ex.div(_d3(phi), phistar)
+
+
+def _lc_selection(signatures, psi: ex.Expr, h4: ex.Expr, h5: ex.Expr, w, n,
+                  rhs, v_reading: str = "consistent", phi: ex.Expr | None = None):
+    """The constraints under which the canonical d-connection of a conformal
+    4D family equals its Levi-Civita connection, for the right-hand side rhs
+    (0 in vacuum, Upsilon_2 with a source, lam along a flow).
+
+    Returns {label: expressions} in report order: the psi equation, the
+    v-sector coupling in the reading ``v_reading`` (left out without the
+    coupling function phi), w-compatibility, the n-curl and the h4/h5
+    transports.
+    """
+    if v_reading not in ("consistent", "literal"):
+        raise ValueError("v_reading must be 'consistent' or 'literal'")
+    e2, e3 = signatures[:2]
+    (w2, w3), (n2, n3) = w, n
+    h5s = _dv(h5)
+    lines = {"psi-equation": [ex.sub(ex.add(ex.mul(e2, _d2(_d2(psi))),
+                                            ex.mul(e3, _d3(_d3(psi)))), rhs)]}
+    if phi is not None:
+        if v_reading == "consistent":
+            v_eq = ex.div(ex.mul(h5s, _dv(phi)), ex.mul(2, h4, h5))
+        else:
+            v_eq = ex.div(ex.mul(h5s, phi), ex.mul(h4, h5))
+        lines["v-coupling"] = [ex.sub(v_eq, rhs)]
+    pairs = (("x2", w2), ("x3", w3))
+    lines.update({
+        "w-compat": [ex.add(_d3(w2), ex.neg(_d2(w3)),
+                            ex.mul(w3, _dv(w2)), ex.neg(ex.mul(w2, _dv(w3))))],
+        "n-curl": [ex.sub(_d3(n2), _d2(n3))],
+        "h4-transport": [ex.add(_di(h4, name), ex.neg(ex.mul(wk, _dv(h4))),
+                                ex.neg(ex.mul(2, _dv(wk), h4)))
+                         for name, wk in pairs],
+        "h5-transport": [ex.sub(_di(h5, name), ex.mul(wk, h5s))
+                         for name, wk in pairs],
+    })
+    return lines
+
+
+# ---------------------------------------------------------------------------
 # the generic 5D / 4D generator
 # ---------------------------------------------------------------------------
 
@@ -302,7 +377,10 @@ def build_varsigma(recipe: SolutionRecipe5D, src: Source) -> ex.Expr:
         ex.mul(e4 / 8.0, ex.pow_(recipe.h0, 2), ex.intv(integrand, recipe.v0)))
 
 
-def _generator_blocks(recipe: SolutionRecipe5D, src: Source):
+def _generate(recipe: SolutionRecipe5D, src: Source, chart: Chart,
+              grid: Grid | None, min_abs: float, extra) -> GeneratedMetric:
+    """The generic construction on the rows of the chart: x1..x3 in 5D,
+    x2, x3 in the 4D reduction."""
     e1, e2, e3, e4, e5 = recipe.signatures
     f = recipe.f
     fstar = _dv(f)
@@ -313,47 +391,36 @@ def _generator_blocks(recipe: SolutionRecipe5D, src: Source):
                 ex.abs_(varsigma))
     h5 = ex.mul(e5, ex.pow_(fdiff, 2))
 
+    rows = range(3 - chart.n, 3)
     if src.v_sector_vanishes:
         # varsigma is v-independent: the mixing quadrature degenerates to 0/0
         # and the canonical representative w_i = 0 is taken.
-        w = {name: ex.ZERO for name in ("x1", "x2", "x3")}
+        w = [ex.ZERO for _ in rows]
     else:
         vs_star = _dv(varsigma)
-        w = {name: ex.neg(ex.div(_di(varsigma, name), vs_star))
-             for name in ("x1", "x2", "x3")}
+        w = [ex.neg(ex.div(_di(varsigma, f"x{k + 1}"), vs_star)) for k in rows]
 
     n_integrand = ex.mul(ex.div(ex.pow_(fstar, 2), ex.pow_(fdiff, 3)),
                          varsigma)
     profile = ex.intv(n_integrand, recipe.v0)
-    n = {}
-    for k, name in enumerate(("x1", "x2", "x3")):
-        nk1, nk2 = recipe.n1_funcs[k], recipe.n2_funcs[k]
-        if ex.is_zero(nk2):
-            n[name] = nk1
-        else:
-            n[name] = ex.add(nk1, ex.mul(nk2, profile))
-    return varsigma, fstar, fdiff, h4, h5, w, n
+    n = [recipe.n1_funcs[k] if ex.is_zero(recipe.n2_funcs[k])
+         else ex.add(recipe.n1_funcs[k], ex.mul(recipe.n2_funcs[k], profile))
+         for k in rows]
+    g_diag = [ex.const(e1), ex.mul(e2, recipe.g2), ex.mul(e3, recipe.g3)]
+    return _assemble(
+        chart, g_diag[3 - chart.n:], h4, h5, w, n,
+        provenance={"family": f"gensol1_{chart.dim}d",
+                    "recipe": recipe.fingerprint(),
+                    "vacuum_v_sector": src.v_sector_vanishes},
+        excluded=(fstar, fdiff, varsigma), grid=grid, extra=extra,
+        min_abs=min_abs)
 
 
 def generate_5d(recipe: SolutionRecipe5D, src: Source,
                 grid: Grid | None = None, min_abs: float = 1e-9,
                 extra=None) -> GeneratedMetric:
     """Assemble the generic off-diagonal 5D metric for the given recipe."""
-    e1, e2, e3, e4, e5 = recipe.signatures
-    chart = chart_5d(recipe.params)
-    varsigma, fstar, fdiff, h4, h5, w, n = _generator_blocks(recipe, src)
-    g = DMetric.diagonal([ex.const(e1), ex.mul(e2, recipe.g2),
-                          ex.mul(e3, recipe.g3)], [h4, h5])
-    N = NConnection.build([[w["x1"], n["x1"]], [w["x2"], n["x2"]],
-                           [w["x3"], n["x3"]]])
-    out = GeneratedMetric(
-        chart, g, N,
-        provenance={"family": "gensol1_5d", "recipe": recipe.fingerprint(),
-                    "vacuum_v_sector": src.v_sector_vanishes},
-        excluded=(fstar, fdiff, varsigma))
-    if grid is not None:
-        out.check_grid(grid, min_abs=min_abs, extra=extra)
-    return out
+    return _generate(recipe, src, chart_5d(recipe.params), grid, min_abs, extra)
 
 
 def generate_4d(recipe: SolutionRecipe5D, src: Source,
@@ -369,38 +436,12 @@ def generate_4d(recipe: SolutionRecipe5D, src: Source,
               recipe.varsigma0, *recipe.n1_funcs[1:], *recipe.n2_funcs[1:]):
         if "x1" in e.free_vars:
             raise DegenerateRecipe("4D reduction requires x1-independent functions")
-    e1, e2, e3, e4, e5 = recipe.signatures
-    chart = chart_4d(recipe.params)
-    varsigma, fstar, fdiff, h4, h5, w, n = _generator_blocks(recipe, src)
-    g = DMetric.diagonal([ex.mul(e2, recipe.g2),
-                          ex.mul(e3, recipe.g3)], [h4, h5])
-    N = NConnection.build([[w["x2"], n["x2"]], [w["x3"], n["x3"]]])
-    out = GeneratedMetric(
-        chart, g, N,
-        provenance={"family": "gensol1_4d", "recipe": recipe.fingerprint(),
-                    "vacuum_v_sector": src.v_sector_vanishes},
-        excluded=(fstar, fdiff, varsigma))
-    if grid is not None:
-        out.check_grid(grid, min_abs=min_abs, extra=extra)
-    return out
+    return _generate(recipe, src, chart_4d(recipe.params), grid, min_abs, extra)
 
 
 # ---------------------------------------------------------------------------
 # Levi-Civita-compatible 4D families
 # ---------------------------------------------------------------------------
-
-def vanishes_on_grid(e: ex.Expr, grid: Grid, extra=None, eps: float = 1e-12) -> bool:
-    """Numeric probe: the expression is zero everywhere on the grid.
-
-    Structural zero detection is only sufficient; coupling functions like
-    phi* collapse to zero without simplifying to the zero tree.
-    """
-    import numpy as np
-    if ex.is_zero(e):
-        return True
-    vals = ex.evaluate(e, {**grid.arrays(), **(extra or {})})
-    return bool(np.max(np.abs(np.asarray(vals))) < eps)
-
 
 def generate_vacuum_lc(recipe: VacuumLCRecipe, grid: Grid, tol: float = 1e-10,
                        extra=None):
@@ -412,34 +453,22 @@ def generate_vacuum_lc(recipe: VacuumLCRecipe, grid: Grid, tol: float = 1e-10,
     gradient-type w built here when b0 is compatible) puts the metric in the
     regime where the two connections share coefficients.
     """
-    e2, e3, e4, e5 = recipe.signatures
-    chart = chart_4d(recipe.params)
-    b, b0 = recipe.b, recipe.b0
-    bstar = _dv(b)
-    bb = ex.add(b, b0)
-
+    e4, e5 = recipe.signatures[2:]
+    bstar = _dv(recipe.b)
+    bb = ex.add(recipe.b, recipe.b0)
     h4 = ex.mul(e4, recipe.h0 ** 2, ex.pow_(bstar, 2))
     h5 = ex.mul(e5, ex.pow_(bb, 2))
-    w2 = ex.div(_d2(bb), bstar)
-    w3 = ex.div(_d3(bb), bstar)
-
-    epsi = ex.exp(recipe.psi)
-    g = DMetric.diagonal([ex.mul(e2, epsi),
-                          ex.mul(e3, epsi)], [h4, h5])
-    N = NConnection.build([[w2, recipe.n2], [w3, recipe.n3]])
-    metric = GeneratedMetric(chart, g, N,
-                             provenance={"family": "vacuum_lc"},
-                             excluded=(bstar,))
-    metric.check_grid(grid, extra=extra)
-
-    harmonic = ex.add(ex.mul(e2, _d2(_d2(recipe.psi))),
-                      ex.mul(e3, _d3(_d3(recipe.psi))))
-    w_compat = ex.add(_d3(w2), ex.neg(_d2(w3)),
-                      ex.mul(w3, _dv(w2)), ex.neg(ex.mul(w2, _dv(w3))))
-    n_curl = ex.sub(_d3(recipe.n2), _d2(recipe.n3))
+    w = (ex.div(_d2(bb), bstar), ex.div(_d3(bb), bstar))
+    n = (recipe.n2, recipe.n3)
+    lines = _lc_selection(recipe.signatures, recipe.psi, h4, h5, w, n, ex.ZERO)
+    metric = _assemble(chart_4d(recipe.params),
+                       _conformal(recipe.signatures, recipe.psi), h4, h5, w, n,
+                       provenance={"family": "vacuum_lc"}, excluded=(bstar,),
+                       grid=grid, extra=extra)
     cols = grid.arrays()
-    reports = [grid_report(label, [e], cols, tol, extra) for label, e in (
-        ("psi-harmonic", harmonic), ("w-compat", w_compat), ("n-curl", n_curl))]
+    reports = [grid_report(label, lines[key], cols, tol, extra) for label, key in (
+        ("psi-harmonic", "psi-equation"), ("w-compat", "w-compat"),
+        ("n-curl", "n-curl"))]
     return metric, reports
 
 
@@ -454,59 +483,22 @@ def generate_sourced_lc(recipe: SourcedLCRecipe, grid: Grid, tol: float = 1e-10,
     the one compatible with the closed form of S^4_4 and with the vacuum
     limit; ``literal`` uses h5* phi / (h4 h5) = Upsilon_2 as printed.
     """
-    if v_reading not in ("consistent", "literal"):
-        raise ValueError("v_reading must be 'consistent' or 'literal'")
-    e2, e3, e4, e5 = recipe.signatures
-    chart = chart_4d(recipe.params)
     h4, h5 = recipe.h4, recipe.h5
-    h5s = _dv(h5)
-    aux = aux_coeffs(h4, h5)
-    phistar = _dv(aux.phi)
-    sourced = not recipe.source.v_sector_vanishes
-
-    if vanishes_on_grid(phistar, grid, extra):
-        if sourced:
+    phi = aux_coeffs(h4, h5).phi
+    w = _phi_mixing(phi, grid, extra)
+    if w is None:
+        if not recipe.source.v_sector_vanishes:
             raise PhiConstant(
                 "phi* = 0 while the v-sector source is nonzero; "
                 "this family needs phi != const")
-        w2 = w3 = ex.ZERO
-    else:
-        w2 = ex.div(_d2(aux.phi), phistar)
-        w3 = ex.div(_d3(aux.phi), phistar)
-
-    epsi = ex.exp(recipe.psi)
-    g = DMetric.diagonal([ex.mul(e2, epsi),
-                          ex.mul(e3, epsi)], [h4, h5])
-    N = NConnection.build([[w2, recipe.n2], [w3, recipe.n3]])
-    metric = GeneratedMetric(chart, g, N,
-                             provenance={"family": "sourced_lc"},
-                             excluded=(h4, h5, h5s))
-    metric.check_grid(grid, extra=extra)
-
-    ups2 = recipe.source.upsilon2
-    psi_eq = ex.sub(ex.add(ex.mul(e2, _d2(_d2(recipe.psi))),
-                           ex.mul(e3, _d3(_d3(recipe.psi)))), ups2)
-    if v_reading == "consistent":
-        v_eq = ex.sub(ex.div(ex.mul(h5s, phistar), ex.mul(2, h4, h5)), ups2)
-    else:
-        v_eq = ex.sub(ex.div(ex.mul(h5s, aux.phi), ex.mul(h4, h5)), ups2)
-    w_compat = ex.add(_d3(w2), ex.neg(_d2(w3)),
-                      ex.mul(w3, _dv(w2)), ex.neg(ex.mul(w2, _dv(w3))))
-    n_curl = ex.sub(_d3(recipe.n2), _d2(recipe.n3))
-    transport4 = {}
-    for name, wk in (("x2", w2), ("x3", w3)):
-        transport4[name] = ex.add(_di(h4, name), ex.neg(ex.mul(wk, _dv(h4))),
-                                  ex.neg(ex.mul(2, _dv(wk), h4)))
-    transport5 = {name: ex.sub(_di(h5, name), ex.mul(wk, h5s))
-                  for name, wk in (("x2", w2), ("x3", w3))}
-
+        w = (ex.ZERO, ex.ZERO)
+    n = (recipe.n2, recipe.n3)
+    lines = _lc_selection(recipe.signatures, recipe.psi, h4, h5, w, n,
+                          recipe.source.upsilon2, v_reading, phi)
+    metric = _assemble(chart_4d(recipe.params),
+                       _conformal(recipe.signatures, recipe.psi), h4, h5, w, n,
+                       provenance={"family": "sourced_lc"},
+                       excluded=(h4, h5, _dv(h5)), grid=grid, extra=extra)
     cols = grid.arrays()
-    reports = [grid_report(label, exprs, cols, tol, extra) for label, exprs in (
-        ("psi-equation", [psi_eq]),
-        ("v-coupling", [v_eq]),
-        ("w-compat", [w_compat]),
-        ("n-curl", [n_curl]),
-        ("h4-transport", [transport4["x2"], transport4["x3"]]),
-        ("h5-transport", [transport5["x2"], transport5["x3"]]),
-    )]
-    return metric, reports
+    return metric, [grid_report(label, exprs, cols, tol, extra)
+                    for label, exprs in lines.items()]

@@ -20,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import expr as ex
-from .numerics import Grid, grid_report
+from .numerics import Grid, GridExclusionError, grid_report
 
 __all__ = [
     "Chart", "NConnection", "DMetric", "Anholonomy", "DConnection",
@@ -167,13 +165,19 @@ class DMetric:
         return not off(self.g) and not off(self.h)
 
     def validate_invertible(self, grid: Grid, extra=None, eps: float = 1e-12):
-        """Raise SingularMetric if either block determinant vanishes on the grid."""
-        cols = grid.arrays()
-        for mat, label in ((self.g, "g"), (self.h, "h")):
-            det = _sym_det(mat)
-            vals = np.asarray(ex.evaluate(det, {**cols, **(extra or {})}))
-            if np.any(np.abs(vals) < eps):
-                raise SingularMetric(f"{label}-block determinant vanishes on grid")
+        """Raise SingularMetric, naming the block and the grid point, if a
+        block determinant vanishes on the grid. Determinants holding running
+        integrals, or names that neither the grid nor ``extra`` bind, are not
+        checked."""
+        bound = {*grid.names, *(extra or ())}
+        dets = {label: d for label, d in (("g", _sym_det(self.g)), ("h", _sym_det(self.h)))
+                if d.free_vars <= bound and not ex.has_integral(d)}
+        try:
+            grid.check_exclusions(dets.values(), min_abs=eps, extra=extra)
+        except GridExclusionError as err:
+            label = next(k for k, d in dets.items() if d is err.locus)
+            raise SingularMetric(f"{label}-block determinant {ex.to_str(err.locus)} "
+                                 f"vanishes at grid point {err.point}") from None
 
 
 def kronecker(i: int, j: int) -> ex.Expr:

@@ -23,7 +23,7 @@ from .generators import GeneratedMetric
 from .geometry import (Chart, DMetric, NConnection, SingularMetric,
                        coordinate_christoffels, coordinate_metric,
                        coordinate_metric_inverse, sym_inverse, _sym_det)
-from .numerics import Grid, ResidualReport, grid_report
+from .numerics import Grid, GridExclusionError, ResidualReport, grid_report
 
 __all__ = [
     "KillingData", "GerochPotentials", "Polarizations", "FrameMatrices",
@@ -326,12 +326,11 @@ def apply_geroch(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials,
                                 ex.mul(st, pot.omega)), 2),
                  ex.mul(st * st, ex.pow_(lam_g, 2)))
     if grid is not None:
-        cols = grid.arrays()
-        dv = np.broadcast_to(np.asarray(
-            ex.evaluate(den, {**cols, **(extra or {})})), (grid.size,))
-        if np.any(np.abs(dv) < denom_eps):
+        try:
+            grid.check_exclusions([den], min_abs=denom_eps, extra=extra)
+        except GridExclusionError as err:
             raise DegenerateDenominator(
-                "transform denominator vanishes on the verification grid")
+                f"transform denominator vanishes at grid point {err.point}") from None
     lam_tilde = ex.div(lam_g, den)
 
     s2t = math.sin(2.0 * theta)

@@ -26,7 +26,7 @@ from . import expr as ex
 __all__ = [
     "Quadrature", "Grid", "ResidualReport", "MaxDepthExceeded",
     "GridExclusionError", "adaptive_simpson", "integrate_v",
-    "antiderivative_profile", "DEFAULT_QUADRATURE", "grid_report",
+    "DEFAULT_QUADRATURE", "grid_report",
 ]
 
 
@@ -37,7 +37,13 @@ class MaxDepthExceeded(ex.EvalError):
 
 
 class GridExclusionError(ValueError):
-    pass
+    """A grid point lies on an excluded locus: ``locus`` is the expression
+    and ``point`` the first grid point (C order) within reach of its zeros."""
+
+    def __init__(self, locus: ex.Expr, point: dict):
+        self.locus, self.point = locus, point
+        super().__init__(
+            f"grid point {point} lies on excluded locus {ex.to_str(locus)} = 0")
 
 
 @dataclass(frozen=True)
@@ -102,30 +108,6 @@ def integrate_v(e: ex.Expr, fixed: Mapping[str, float], v0: float, v1: float,
         return float(ex.evaluate(e, env))
 
     return adaptive_simpson(f, v0, v1, q)
-
-
-def antiderivative_profile(e: ex.Expr, fixed: Mapping[str, float], v0: float,
-                           samples: Sequence[float],
-                           q: Quadrature = DEFAULT_QUADRATURE) -> list:
-    """Tabulate F(v) = int_{v0}^{v} e dv at the given sorted samples.
-
-    Panel additivity keeps the cost linear in the number of samples.
-    """
-    ordered = sorted(samples)
-    env = dict(fixed)
-
-    def f(t: float) -> float:
-        env[ex.V_NAME] = t
-        return float(ex.evaluate(e, env))
-
-    out = {}
-    acc = 0.0
-    prev = v0
-    for s in ordered:
-        acc += adaptive_simpson(f, prev, s, q)
-        out[s] = acc
-        prev = s
-    return [(s, out[s]) for s in samples]
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +181,8 @@ class Grid:
             bad = np.abs(vals) < min_abs
             if np.any(bad):
                 idx = int(np.argmax(bad))
-                point = {n: float(cols[n][idx]) for n in self.names}
                 raise GridExclusionError(
-                    f"grid point {point} lies on excluded locus {ex.to_str(e)} = 0")
+                    e, {n: float(cols[n][idx]) for n in self.names})
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .generators import DegenerateRecipe, GeneratedMetric, aux_coeffs
-from .geometry import (DMetric, NConnection, canonical_dconnection, chart_4d,
-                       chart_5d, coordinate_lc_ricci, coordinate_metric,
-                       curvature_ricci)
+from .generators import (DegenerateRecipe, GeneratedMetric, _assemble,
+                         _conformal, _lc_selection, _phi_mixing, aux_coeffs)
+from .geometry import (canonical_dconnection, chart_4d, chart_5d,
+                       coordinate_lc_ricci, coordinate_metric, curvature_ricci)
 from .numerics import Grid, ResidualReport, grid_report
 
 __all__ = [
@@ -243,15 +243,8 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
                    ex.intv(ex.div(ex.mul(h_prof, h5), h5s), recipe.v0)))
     h4 = ex.mul(h_prof, varsigma4)
 
-    aux = aux_coeffs(h4, h5)
-    phistar = _dv(aux.phi)
-    from .generators import vanishes_on_grid
-    if vanishes_on_grid(phistar, grid,
-                        {CHI: float(chi_samples[0]), **(extra or {})}):
-        w2 = w3 = ex.ZERO
-    else:
-        w2 = ex.div(_d2(aux.phi), phistar)
-        w3 = ex.div(_d3(aux.phi), phistar)
+    at_chi0 = {CHI: float(chi_samples[0]), **(extra or {})}
+    w2, w3 = _phi_mixing(aux_coeffs(h4, h5).phi, grid, at_chi0) or (ex.ZERO, ex.ZERO)
 
     n_integrand = ex.div(h4, ex.pow_(root5, 3))
     if ex.is_zero(recipe.n2fn):
@@ -260,16 +253,12 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
         n2 = ex.add(recipe.n1fn,
                     ex.mul(recipe.n2fn, ex.intv(n_integrand, recipe.v0)))
 
-    chart = chart_5d((*recipe.params, CHI))
-    g = DMetric.diagonal(
-        [ex.const(e1), ex.mul(e2, recipe.varpi),
-         ex.mul(e3, recipe.varpi)], [h4, h5])
-    N = NConnection.build([[ex.ZERO, ex.ZERO], [w2, n2], [w3, n2]])
-    metric = GeneratedMetric(chart, g, N,
-                             provenance={"family": "flow_integrable",
-                                         "lam": recipe.lam},
-                             excluded=(h5s, varsigma4, recipe.varpi))
-    metric.check_grid(grid, extra={CHI: float(chi_samples[0]), **(extra or {})})
+    metric = _assemble(
+        chart_5d((*recipe.params, CHI)),
+        [ex.const(e1), ex.mul(e2, recipe.varpi), ex.mul(e3, recipe.varpi)],
+        h4, h5, (ex.ZERO, w2, w3), (ex.ZERO, n2, n2),
+        provenance={"family": "flow_integrable", "lam": recipe.lam},
+        excluded=(h5s, varsigma4, recipe.varpi), grid=grid, extra=at_chi0)
 
     cols = _stacked_cols(grid, chi_samples, extra)
 
@@ -299,48 +288,17 @@ def build_lc_flow(recipe: LCFlowRecipe, grid: Grid, chi_samples: Sequence[float]
                   extra=None):
     """Assemble the Levi-Civita flow family and report its selection
     constraints (the four coupled equations plus the two transports)."""
-    e2, e3, e4, e5 = recipe.signatures
     h4, h5 = recipe.h4, recipe.h5
-    h5s = _dv(h5)
-    aux = aux_coeffs(h4, h5)
-    phistar = _dv(aux.phi)
-
-    chart = chart_4d((*recipe.params, CHI))
-    epsi = ex.exp(recipe.psi)
-    g = DMetric.diagonal([ex.mul(e2, epsi),
-                          ex.mul(e3, epsi)], [h4, h5])
-    N = NConnection.build([[recipe.w2, recipe.n2], [recipe.w3, recipe.n2]])
-    metric = GeneratedMetric(chart, g, N,
-                             provenance={"family": "flow_lc", "lam": recipe.lam},
-                             excluded=(h4, h5, h5s))
-    metric.check_grid(grid, extra={CHI: float(chi_samples[0]), **(extra or {})})
-
+    w, n = (recipe.w2, recipe.w3), (recipe.n2, recipe.n2)
+    lines = _lc_selection(recipe.signatures, recipe.psi, h4, h5, w, n,
+                          recipe.lam, v_reading, aux_coeffs(h4, h5).phi)
+    metric = _assemble(
+        chart_4d((*recipe.params, CHI)), _conformal(recipe.signatures, recipe.psi),
+        h4, h5, w, n, provenance={"family": "flow_lc", "lam": recipe.lam},
+        excluded=(h4, h5, _dv(h5)), grid=grid,
+        extra={CHI: float(chi_samples[0]), **(extra or {})})
     cols = _stacked_cols(grid, chi_samples, extra)
-
-    psi_eq = ex.sub(ex.add(ex.mul(e2, _d2(_d2(recipe.psi))),
-                           ex.mul(e3, _d3(_d3(recipe.psi)))), recipe.lam)
-    if v_reading == "consistent":
-        v_eq = ex.sub(ex.div(ex.mul(h5s, phistar), ex.mul(2, h4, h5)), recipe.lam)
-    else:
-        v_eq = ex.sub(ex.div(ex.mul(h5s, aux.phi), ex.mul(h4, h5)), recipe.lam)
-    w_compat = ex.add(_d3(recipe.w2), ex.neg(_d2(recipe.w3)),
-                      ex.mul(recipe.w3, _dv(recipe.w2)),
-                      ex.neg(ex.mul(recipe.w2, _dv(recipe.w3))))
-    n_eq = ex.sub(_d3(recipe.n2), _d2(recipe.n2))
-    transports = []
-    for name, wk in (("x2", recipe.w2), ("x3", recipe.w3)):
-        transports.append(ex.add(ex.diff(h4, name), ex.neg(ex.mul(wk, _dv(h4))),
-                                 ex.neg(ex.mul(2, _dv(wk), h4))))
-    transports5 = [ex.sub(ex.diff(h5, name), ex.mul(wk, h5s))
-                   for name, wk in (("x2", recipe.w2), ("x3", recipe.w3))]
-
-    reports = [grid_report(label, exprs, cols, tol) for label, exprs in (
-        ("psi-equation", [psi_eq]),
-        ("v-coupling", [v_eq]),
-        ("w-compat", [w_compat]),
-        ("n-evolution", [n_eq]),
-        ("h4-transport", transports),
-        ("h5-transport", transports5),
-    )]
+    reports = [grid_report("n-evolution" if label == "n-curl" else label,
+                           exprs, cols, tol) for label, exprs in lines.items()]
     fam = FlowFamily(metric, recipe.lam, tuple(float(c) for c in chi_samples))
     return fam, reports

@@ -1,4 +1,4 @@
-"""JSON wire formats: recipes in, metrics and coefficient tables out.
+"""JSON wire formats: recipes in, metrics out.
 
 Expressions are embedded as strings in the toolkit grammar (including the
 running-integral form ``intv(f, v0)``), so generated metrics round-trip
@@ -13,7 +13,7 @@ from typing import Mapping
 from . import expr as ex
 from . import generators as gen
 from . import ricci_flow as rf
-from .geometry import Chart, DConnection, DMetric, LCConnection, NConnection
+from .geometry import Chart, DMetric, NConnection
 from .numerics import Grid
 
 
@@ -222,29 +222,6 @@ def metric_from_dict(d: Mapping) -> gen.GeneratedMetric:
     excluded = tuple(parse_expr(e, allowed, "excluded") for e in d.get("excluded", ()))
     return gen.GeneratedMetric(chart, DMetric(g, h), NConnection(ncoef),
                                dict(d.get("provenance", {})), excluded)
-
-
-def connection_tables(conn) -> dict:
-    """Coefficient tables as {block: {"i,j,k": expr-string}} for export."""
-    if isinstance(conn, DConnection):
-        blocks = {"L_h": conn.l_h, "L_v": conn.l_v, "C_h": conn.c_h,
-                  "C_v": conn.c_v}
-    elif isinstance(conn, LCConnection):
-        blocks = {"L_hh": conn.l_hh, "L_vh": conn.l_vh, "L_hv": conn.l_hv,
-                  "L_vv": conn.l_vv, "C_hh": conn.c_hh, "C_vh": conn.c_vh,
-                  "C_hv": conn.c_hv, "C_vv": conn.c_vv}
-    else:
-        raise TypeError(f"cannot export {type(conn).__name__}")
-    out = {}
-    for name, blk in blocks.items():
-        table = {}
-        for i, plane in enumerate(blk):
-            for j, row in enumerate(plane):
-                for k, e in enumerate(row):
-                    if not (isinstance(e, ex.Const) and e.value == 0.0):
-                        table[f"{i},{j},{k}"] = ex.to_str(e)
-        out[name] = table
-    return out
 
 
 def load_json(path: str) -> dict:

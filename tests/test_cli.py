@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from nhgeo import cli
 from nhgeo import geroch as gr
@@ -71,6 +72,20 @@ class TestGenerate:
         cfg = write(tmp_path, "bad.json", bad)
         assert cli.main(["generate", "--config", cfg,
                          "--out", str(tmp_path / "x.json")]) == 3
+
+    @pytest.mark.parametrize("family", ["gensol1_5d", "gensol1_4d"])
+    def test_singular_g_block_exit_3(self, tmp_path, capsys, family):
+        recipe = vacuum_recipe()
+        recipe["family"] = family
+        recipe["functions"]["g3"] = "x3 - x2"   # zero on the grid diagonal
+        if family == "gensol1_4d":
+            recipe["grid"] = {n: GRID5[n] for n in ("x2", "x3", "v")}
+        cfg = write(tmp_path, "singular.json", recipe)
+        out = tmp_path / "x.json"
+        assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "g-block determinant" in err and "grid point" in err
+        assert not out.exists()
 
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -414,6 +429,11 @@ class TestExpr:
     def test_non_finite_function_argument_exit_2(self, capsys):
         assert cli.main(["expr", "check", "sin(1e200*1e200)", "--vars", "v"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_deeply_nested_expression_exit_2(self, capsys):
+        deep = "(" * 6000 + "v" + ")" * 6000
+        assert cli.main(["expr", "check", deep, "--vars", "v"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_parser_is_built_once(self, monkeypatch):
         def refuse():

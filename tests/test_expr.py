@@ -1,7 +1,11 @@
 """Expression core: parsing, differentiation, evaluation, simplification."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,31 @@ def generic_5d_ricci():
     conn = geo.canonical_dconnection(metric, nconn, chart)
     ricci = geo.curvature_ricci(conn, metric, nconn, chart)
     return [c for row in ricci.ricci for c in row] + [ricci.scalar]
+
+
+def test_import_keeps_recursion_limit():
+    """Importing the package leaves the interpreter's recursion limit alone,
+    and a generic 5D Ricci table builds, differentiates, evaluates and
+    prints under the default limit."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "limit = sys.getrecursionlimit()\n"
+        "import nhgeo.cli\n"
+        "assert sys.getrecursionlimit() == limit, sys.getrecursionlimit()\n"
+        "from test_expr import generic_5d_ricci\n"
+        "from nhgeo import expr as ex\n"
+        "comps = generic_5d_ricci()\n"
+        "p = {'x1': 1.1, 'x2': 0.9, 'x3': 1.2, 'v': 0.8, 'y5': 1.0}\n"
+        "vals = ex.evaluate_many([ex.diff(c, 'v') for c in comps] + comps, p)\n"
+        "assert all(v == v for v in vals)\n"
+        "assert sum(len(ex.to_str(c)) for c in comps) > 0\n"
+    )
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestProgram:

@@ -444,8 +444,19 @@ class TestMetricValidation:
         good = geo.DMetric.diagonal([1, ex.exp(X2), 1], [1 + V ** 2, 1])
         good.validate_invertible(grid)
         bad = geo.DMetric.diagonal([1, 1, 1], [ex.sub(V, 1), 1])  # h4(1) = 0
-        with pytest.raises(geo.SingularMetric):
+        with pytest.raises(geo.SingularMetric, match="h-block") as err:
             bad.validate_invertible(grid)
+        assert "grid point" in str(err.value) and "'v': 1.0" in str(err.value)
+
+    def test_invertibility_check_leaves_integrals_and_unbound_names(self):
+        grid = Grid.build({n: (0.5, 1.5, 3) for n in C5.coord_names})
+        # both determinants vanish at v = 1, but neither is checked: one
+        # holds a running integral, the other a name the grid does not bind
+        metric = geo.DMetric.diagonal([1, 1, ex.mul(ex.var("p"), ex.sub(V, 1))],
+                                      [ex.intv(ex.ONE, 1.0), 1])
+        metric.validate_invertible(grid)
+        with pytest.raises(geo.SingularMetric, match="g-block"):
+            metric.validate_invertible(grid, extra={"p": 1.0})
 
 
 class TestSympyOracle:

@@ -175,7 +175,7 @@ class TestApplyGeroch:
             [0.0, omega ** 2 - 1.0, 0.0, 0.0])
         checks = gr.geroch_residuals(seed, xi, pot, GRID4, tol=1e-10)
         assert all(r.passed for r in checks)
-        with pytest.raises(gr.DegenerateDenominator):
+        with pytest.raises(gr.DegenerateDenominator, match="grid point"):
             gr.apply_geroch(seed, xi, pot, theta, checks=checks, grid=GRID4)
 
 

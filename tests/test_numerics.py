@@ -70,28 +70,6 @@ class TestAdaptiveSimpson:
         assert abs(lhs - rhs) <= 2.0 * nm.DEFAULT_QUADRATURE.abs_tol + 1e-12
 
 
-class TestAntiderivativeProfile:
-    def test_constant_integrand(self):
-        got = nm.antiderivative_profile(ex.ONE, {}, 0.0, [0.0, 1.0, 2.0])
-        assert got == [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
-
-    def test_linear_integrand(self):
-        got = nm.antiderivative_profile(ex.mul(2, V), {}, 0.0, [0.0, 1.0])
-        assert got[0] == (0.0, 0.0)
-        assert got[1][1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_quadratic_closed_form(self):
-        got = nm.antiderivative_profile(V ** 2, {}, 0.0, [1.0, 2.0])
-        assert got[0][1] == pytest.approx(1.0 / 3.0, abs=1e-10)
-        assert got[1][1] == pytest.approx(8.0 / 3.0, abs=1e-10)
-
-    def test_unsorted_samples_reported_in_input_order(self):
-        got = nm.antiderivative_profile(ex.ONE, {}, 0.0, [2.0, 0.5])
-        assert [s for s, _ in got] == [2.0, 0.5]
-        assert got[0][1] == pytest.approx(2.0, abs=1e-12)
-        assert got[1][1] == pytest.approx(0.5, abs=1e-12)
-
-
 class TestGrid:
     def test_count_lower_bound(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,18 @@ class TestBuildLCFlow:
         # residual is n2' - n2-bullet = -0.7 chi, maximal at chi = 1
         assert by_name["n-evolution"].max_abs == pytest.approx(0.7)
 
+    def test_unknown_v_reading_rejected(self):
+        h4, h5 = self.vacuum_pair()
+        recipe = rf.LCFlowRecipe(signatures=(1, 1, 1, 1), psi=X2, h4=h4, h5=h5,
+                                 w2=ex.ZERO, w3=ex.ZERO, n2=ex.ZERO, lam=0.0)
+        with pytest.raises(ValueError, match="v_reading"):
+            rf.build_lc_flow(recipe, GRID4, CHIS, v_reading="bogus")
+        _, literal = rf.build_lc_flow(recipe, GRID4, CHIS, v_reading="literal")
+        _, consistent = rf.build_lc_flow(recipe, GRID4, CHIS)
+        coupling = [{r.equation: r for r in reps}["v-coupling"].max_abs
+                    for reps in (literal, consistent)]
+        assert coupling[0] != coupling[1]
+
     def test_lc_flow_has_vanishing_torsion_per_slice(self):
         h4, h5 = self.vacuum_pair()
         recipe = rf.LCFlowRecipe(signatures=(1, 1, 1, 1), psi=X2, h4=h4, h5=h5,

@@ -1,10 +1,9 @@
-"""Wire formats: metric documents, recipe parsing, coefficient-table export."""
+"""Wire formats: metric documents and recipe parsing."""
 
 import pytest
 
 from nhgeo import expr as ex
 from nhgeo import generators as gen
-from nhgeo import geometry as geo
 from nhgeo import serialize as ser
 
 from conftest import max_abs_at, random_points
@@ -57,7 +56,7 @@ class TestRecipeParsing:
         })
         assert family == "gensol1_4d"
         assert ex.is_zero(recipe.f0)
-        assert src.is_vacuum
+        assert ex.is_zero(src.upsilon2) and ex.is_zero(src.upsilon4)
         gm = gen.generate_4d(recipe, src)
         assert gm.chart.dim == 4
 
@@ -79,25 +78,3 @@ class TestRecipeParsing:
         assert got == (0.0, 0.5, 1.0)
         with pytest.raises(ser.ConfigError):
             ser.chi_samples_from_dict({"chi": {"min": 0.0}})
-
-
-class TestConnectionTables:
-    def test_canonical_export_indexing(self):
-        gm = sample_metric()
-        conn = geo.canonical_dconnection(gm.metric, gm.nconn, gm.chart)
-        tables = ser.connection_tables(conn)
-        assert set(tables) == {"L_h", "L_v", "C_h", "C_v"}
-        # g2 = e^{x2}: the h-block coefficient L^2_22 = 1/2 survives export
-        p = {nm: 1.0 for nm in gm.chart.all_names}
-        got = ex.evaluate(ex.parse(tables["L_h"]["1,1,1"], gm.chart.all_names), p)
-        assert got == pytest.approx(0.5)
-        for key, text in tables["L_h"].items():
-            assert len(key.split(",")) == 3
-            ex.parse(text, gm.chart.all_names)
-
-    def test_lc_export_has_eight_blocks(self):
-        gm = sample_metric()
-        lc = geo.lc_decomposition(gm.metric, gm.nconn, gm.chart)
-        tables = ser.connection_tables(lc)
-        assert set(tables) == {"L_hh", "L_vh", "L_hv", "L_vv",
-                               "C_hh", "C_vh", "C_hv", "C_vv"}
