@@ -36,12 +36,12 @@ CSV_COLUMNS = ("x1", "x2", "x3", "v", "y5", "chi")
 
 def _write_csv(path: str, reports) -> None:
     """Header, then the lines of each report; consecutive reports on the
-    same points share one formatting of the coordinate text."""
+    same column mapping share one formatting of the coordinate text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["equation", *CSV_COLUMNS, "residual"])
         prev = coords = None
         for rep in reports:
-            if prev is None or not rep.same_points(prev):
+            if prev is None or rep.cols is not prev.cols:
                 coords = rep.coordinate_text(CSV_COLUMNS)
             fh.writelines(rep.csv_rows(CSV_COLUMNS, coords))
             prev = rep
@@ -55,20 +55,17 @@ def _summarize(reports, out=None) -> bool:
     return ok
 
 
-def _locate_eval_error(entries, grid, err, bindings=({},)) -> str:
-    """Best-effort pointwise localization of an evaluation failure: the first
-    grid point at which one of the (name, expression) entries fails, and that
-    entry. ``bindings`` give values to variables off the grid (parameters,
-    chi samples); each is tried in turn and shown with the point."""
-    for bound in bindings:
-        for point in grid.points():
-            env = {**point, **bound}
-            for name, e in entries:
-                try:
-                    ex.evaluate(e, env)
-                except ex.EvalError:
-                    return f"{err} in {name} = {ex.to_str(e)} at grid point {env}"
-    return str(err)
+def _locate_eval_error(entries, err) -> str:
+    """The first (name, expression) entry that fails at the grid point the
+    error carries, else the program step that failed there."""
+    if err.point is None:
+        return str(err)
+    for name, e in entries:
+        try:
+            ex.evaluate(e, err.point)
+        except ex.EvalError:
+            return f"{err} in {name} = {ex.to_str(e)} at grid point {err.point}"
+    return f"{err} in {ex.to_str(err.node)} at grid point {err.point}"
 
 
 def _metric_entries(gm) -> list:
@@ -222,7 +219,7 @@ def cmd_generate(args) -> int:
                          grid.arrays(), extra=params)
     except ex.EvalError as err:
         entries = _function_entries(cfg) + (_metric_entries(gm) if gm else [])
-        return _eval_error(_locate_eval_error(entries, grid, err, (params,)))
+        return _eval_error(_locate_eval_error(entries, err))
 
     payload = ser.metric_to_dict(gm)
     if reports:
@@ -257,8 +254,7 @@ def cmd_verify(args) -> int:
             oracle_tol=float(cfg.get("oracle_tolerance", 1e-9)),
             checks=checks, params=params or None)
     except ex.EvalError as err:
-        return _eval_error(_locate_eval_error(_metric_entries(gm), grid, err,
-                                              (params,)))
+        return _eval_error(_locate_eval_error(_metric_entries(gm), err))
     out = args.out or "verify.csv"
     _write_csv(out, reports)
     summary = cfg.get("summary")
@@ -273,11 +269,11 @@ def cmd_verify(args) -> int:
 
 def _per_chi_sections(reports, chis):
     for rep in reports:
-        if "chi" not in rep.columns:
+        if "chi" not in rep.cols:
             continue
-        ci = rep.columns.index("chi")
+        chi = rep.column("chi")
         for c in chis:
-            mask = rep.points[:, ci] == c
+            mask = chi == c
             if mask.any():
                 mx = float(np.max(np.abs(rep.residuals[mask])))
                 print(f"  chi={c:g}: EQ {rep.equation} max={mx:.6e} "
@@ -299,8 +295,7 @@ def cmd_flow(args) -> int:
             fam, lc_reports = rf.build_lc_flow(recipe, grid, chis, tol)
             reports = lc_reports + rf.flow_residuals(fam, grid, chis, tol)
     except ex.EvalError as err:
-        return _eval_error(_locate_eval_error(_function_entries(cfg), grid, err,
-                                              [{"chi": c} for c in chis]))
+        return _eval_error(_locate_eval_error(_function_entries(cfg), err))
 
     out = args.out or "flow.csv"
     _write_csv(out, reports)
@@ -371,7 +366,7 @@ def cmd_geroch(args) -> int:
         entries = _metric_entries(gm)
         if xi is not None:
             entries += [(f"xi[{k}]", c) for k, c in enumerate(xi.xi)]
-        return _eval_error(_locate_eval_error(entries, grid, err))
+        return _eval_error(_locate_eval_error(entries, err))
     reports += checks
 
     out = args.out or "transformed.json"

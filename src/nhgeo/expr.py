@@ -65,7 +65,15 @@ class UnknownVariableError(ValueError):
 
 
 class EvalError(ArithmeticError):
-    """Base class for evaluation failures."""
+    """Base class for evaluation failures. The layer that knows sets ``row``
+    (first failing array element; 0 for scalars), ``node`` (the failing
+    ``Program`` step) and ``point`` (the bindings at that row)."""
+
+    row, node, point = 0, None, None
+
+    def at(self, mask) -> "EvalError":
+        self.row = int(np.argmax(mask))
+        return self
 
 
 class DivisionByZeroError(EvalError):
@@ -700,12 +708,16 @@ class Program:
         the row) and return ``out``."""
         memo: dict = {}
         with np.errstate(over="ignore", invalid="ignore"):
-            for node, rows, dead in zip(self.steps, self.rows, self.frees):
-                val = memo[id(node)] = _ev_node(node, env, memo)
-                for k in rows:
-                    out[k] = val
-                for key in dead:
-                    del memo[key]
+            try:
+                for node, rows, dead in zip(self.steps, self.rows, self.frees):
+                    val = memo[id(node)] = _ev_node(node, env, memo)
+                    for k in rows:
+                        out[k] = val
+                    for key in dead:
+                        del memo[key]
+            except EvalError as err:
+                err.node = node
+                raise
         return out
 
 
@@ -744,15 +756,15 @@ def _ev_node(e: Expr, env, memo):
         num = _ev(e.num, env, memo)
         den = _ev(e.den, env, memo)
         if _any(den == 0.0):
-            raise DivisionByZeroError("division by zero")
+            raise DivisionByZeroError("division by zero").at(den == 0.0)
         return num / den
     if isinstance(e, Pow):
         base = _ev(e.base, env, memo)
         q = e.exponent
         if q.denominator != 1 and _any(base < 0.0):
-            raise DomainError(f"negative base for exponent {q}")
+            raise DomainError(f"negative base for exponent {q}").at(base < 0.0)
         if q < 0 and _any(base == 0.0):
-            raise DivisionByZeroError(f"zero base for exponent {q}")
+            raise DivisionByZeroError(f"zero base for exponent {q}").at(base == 0.0)
         if q.denominator == 1:
             return base ** int(q)
         return base ** float(q)
@@ -769,17 +781,17 @@ def _ev_node(e: Expr, env, memo):
             return np.exp(u)
         if kind == "ln":
             if _any(u <= 0.0):
-                raise DomainError("ln of nonpositive value")
+                raise DomainError("ln of nonpositive value").at(u <= 0.0)
             return np.log(u)
         if kind == "sqrt":
             if _any(u < 0.0):
-                raise DomainError("sqrt of negative value")
+                raise DomainError("sqrt of negative value").at(u < 0.0)
             return np.sqrt(u)
         if kind == "abs":
             return np.abs(u)
         if kind == "sign":
             if _any(u == 0.0):
-                raise DomainError("sign(0) is undefined")
+                raise DomainError("sign(0) is undefined").at(u == 0.0)
             return np.sign(u)
         raise AssertionError(kind)  # pragma: no cover
     if isinstance(e, IntegralV):
@@ -815,7 +827,11 @@ def _ev_integral(e: IntegralV, env, memo):
     for key in zip(*(c.reshape(-1).tolist() for c in cols)):
         got = seen.get(key)
         if got is None:
-            got = seen[key] = run(key[0], key[1:])
+            try:
+                got = seen[key] = run(key[0], key[1:])
+            except EvalError as err:
+                err.row = len(out)
+                raise
         out.append(got)
     return np.array(out, dtype=float).reshape(cols[0].shape)
 

@@ -28,7 +28,8 @@ import numpy as np
 from . import expr as ex
 from .geometry import (Chart, DMetric, NConnection, SingularMetric, chart_4d,
                        chart_5d, coordinate_metric)
-from .numerics import Grid, GridExclusionError, ResidualReport, grid_report
+from .numerics import (Grid, GridExclusionError, ResidualReport, evaluate_on_grid,
+                       grid_report)
 
 __all__ = [
     "DegenerateRecipe", "PhiConstant", "Source", "SolutionRecipe5D",
@@ -244,9 +245,7 @@ def check_h_equation(g2: ex.Expr, g3: ex.Expr, upsilon4: ex.Expr, grid: Grid,
                      tol: float = 1e-10, extra=None) -> ResidualReport:
     """Residual of the 2D equation R^2_2 + Upsilon_4 = 0 on the grid."""
     cols = grid.arrays()
-    res = ex.evaluate(ex.add(closed_r22(g2, g3), upsilon4),
-                      {**cols, **(extra or {})})
-    res = np.broadcast_to(np.asarray(res), (grid.size,))
+    res = evaluate_on_grid(ex.add(closed_r22(g2, g3), upsilon4), cols, extra=extra)
     return ResidualReport.from_grid("h-equation", cols, res, tol)
 
 
@@ -316,8 +315,8 @@ def _phi_mixing(phi: ex.Expr, grid: Grid, extra=None):
     phistar = _dv(phi)
     if ex.is_zero(phistar):
         return None
-    vals = ex.evaluate(phistar, {**grid.arrays(), **(extra or {})})
-    if np.max(np.abs(np.asarray(vals))) < 1e-12:
+    vals = evaluate_on_grid(phistar, grid.arrays(), extra=extra)
+    if np.max(np.abs(vals)) < 1e-12:
         return None
     return ex.div(_d2(phi), phistar), ex.div(_d3(phi), phistar)
 

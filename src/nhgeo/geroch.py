@@ -179,19 +179,18 @@ def _perm_sign(p) -> int:
 
 
 def killing_residual(gm: GeneratedMetric, xi: KillingData, grid: Grid,
-                     tol: float = 1e-10, extra=None, setup=None) -> ResidualReport:
+                     tol: float = 1e-10, setup=None) -> ResidualReport:
     """max over the grid of |nabla_a xi_b + nabla_b xi_a| (all components)."""
     chart, g, ginv, christ = setup or coordinate_setup(gm)
     d = chart.dim
     nx = _nabla_covector(xi.xi, christ, chart)
     comps = [ex.add(nx[a][b], nx[b][a])
              for a in range(d) for b in range(a, d)]
-    return grid_report("killing", comps, grid.arrays(), tol, extra)
+    return grid_report("killing", comps, grid.arrays(), tol)
 
 
-def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
-                     pot: GerochPotentials, grid: Grid, tol: float = 1e-10,
-                     extra=None, setup=None) -> list:
+def geroch_residuals(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials,
+                     grid: Grid, tol: float = 1e-10, setup=None) -> list:
     """Residual reports for the three potential equations and the two
     algebraic constraints tying (omega, alpha, mu) to the Killing covector."""
     chart, g, ginv, christ = setup or coordinate_setup(gm)
@@ -255,7 +254,7 @@ def geroch_residuals(gm: GeneratedMetric, xi: KillingData,
         ex.add(ex.pow_(lam_g, 2), ex.pow_(pot.omega, 2), -1))
 
     cols = grid.arrays()
-    return [grid_report(label, exprs, cols, tol, extra) for label, exprs in (
+    return [grid_report(label, exprs, cols, tol) for label, exprs in (
         ("twist-gradient", eq1),
         ("alpha-curl", eq2),
         ("mu-curl", eq3),
@@ -300,7 +299,7 @@ def dmetric_from_coordinate(table, chart: Chart) -> tuple:
 def apply_geroch(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials,
                  theta: float, checks: Sequence[ResidualReport] | None = None,
                  grid: Grid | None = None, denom_eps: float = 1e-9,
-                 extra=None, setup=None) -> GeneratedMetric:
+                 setup=None) -> GeneratedMetric:
     """One-parameter transform of a vacuum seed with Killing covector xi.
 
     ``checks`` must be the (passing) reports from geroch_residuals for this
@@ -327,7 +326,7 @@ def apply_geroch(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials,
                  ex.mul(st * st, ex.pow_(lam_g, 2)))
     if grid is not None:
         try:
-            grid.check_exclusions([den], min_abs=denom_eps, extra=extra)
+            grid.check_exclusions([den], min_abs=denom_eps)
         except GridExclusionError as err:
             raise DegenerateDenominator(
                 f"transform denominator vanishes at grid point {err.point}") from None
@@ -478,7 +477,7 @@ class DeformStep:
 
 
 def apply_chain(seed: GeneratedMetric, steps: Sequence, grid: Grid,
-                tol: float = 1e-8, extra=None, setup=None) -> tuple:
+                tol: float = 1e-8, setup=None) -> tuple:
     """Left-to-right application of transform steps; each transform step
     re-verifies its potentials against the current metric. Returns the final
     metric and the potential-check reports of all transform steps, in order.
@@ -489,11 +488,10 @@ def apply_chain(seed: GeneratedMetric, steps: Sequence, grid: Grid,
         if isinstance(step, GerochStep):
             setup = setup or coordinate_setup(current)
             checks = geroch_residuals(current, step.xi, step.potentials, grid,
-                                      tol, extra=extra, setup=setup)
+                                      tol, setup=setup)
             reports.extend(checks)
-            current = apply_geroch(current, step.xi, step.potentials,
-                                   step.theta, checks=checks, grid=grid,
-                                   extra=extra, setup=setup)
+            current = apply_geroch(current, step.xi, step.potentials, step.theta,
+                                   checks=checks, grid=grid, setup=setup)
         elif isinstance(step, DeformStep):
             current = nonholonomic_deform(current, step.polarizations)
         else:
@@ -503,10 +501,10 @@ def apply_chain(seed: GeneratedMetric, steps: Sequence, grid: Grid,
 
 
 def superpose(seed: GeneratedMetric, steps: Sequence, grid: Grid,
-              tol: float = 1e-8, extra=None) -> GeneratedMetric:
+              tol: float = 1e-8) -> GeneratedMetric:
     """apply_chain, with the ordered parameter list of the chain recorded in
     the provenance."""
-    current, _ = apply_chain(seed, steps, grid, tol, extra)
+    current, _ = apply_chain(seed, steps, grid, tol)
     chain = [{"kind": "geroch", "theta": step.theta}
              if isinstance(step, GerochStep) else {"kind": "deform"}
              for step in steps]

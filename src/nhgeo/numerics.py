@@ -4,19 +4,22 @@ The generator formulas need definite integrals along the anisotropy
 coordinate v; everything here is plain adaptive Simpson with a Richardson
 error estimate. Residual checks over grids are collected in ResidualReport
 objects, the toolkit's universal notion of "this metric solves equation X
-to tolerance tau". grid_report is the only path from expressions to a
-max-abs ResidualReport; it evaluates a report's expressions as one program
-(expr.Program) on the calling thread.
+to tolerance tau". evaluate_on_grid is the one array evaluator, and names the
+grid point of an evaluation error. grid_report is the only path from
+expressions to a max-abs ResidualReport; it evaluates a report's expressions
+as one program (expr.Program) on the calling thread.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -146,43 +149,31 @@ class Grid:
 
     @property
     def size(self) -> int:
-        n = 1
-        for c in self.shape:
-            n *= c
-        return n
+        return math.prod(self.shape)
 
-    def axis_values(self, name: str) -> np.ndarray:
-        for ax_name, lo, hi, count in self.axes:
-            if ax_name == name:
-                return np.linspace(lo, hi, count)
-        raise KeyError(name)
+    def arrays(self) -> Mapping[str, np.ndarray]:
+        """Flattened meshgrid columns, deterministic C order; built once per
+        grid, read-only."""
+        return self._arrays
 
-    def arrays(self) -> dict:
-        """Flattened meshgrid columns, deterministic C order."""
-        grids = np.meshgrid(*(self.axis_values(n) for n in self.names), indexing="ij")
-        return {n: g.reshape(-1) for n, g in zip(self.names, grids)}
-
-    def points(self) -> list:
-        cols = self.arrays()
-        names = self.names
-        return [{n: float(v) for n, v in zip(names, row)}
-                for row in zip(*(cols[n] for n in names))]
+    @functools.cached_property
+    def _arrays(self) -> Mapping[str, np.ndarray]:
+        grids = np.meshgrid(*(np.linspace(lo, hi, n) for _, lo, hi, n in self.axes),
+                            indexing="ij")
+        for g in grids:
+            g.flags.writeable = False
+        return MappingProxyType({n: g.reshape(-1) for n, g in zip(self.names, grids)})
 
     def check_exclusions(self, exprs: Iterable[ex.Expr], min_abs: float = 1e-9,
                          extra: Mapping[str, float] | None = None) -> None:
         """Raise if any grid point lies within min_abs of an excluded locus
-        (an expression whose zero set must be avoided)."""
+        (an expression whose zero set must be avoided), one locus at a time."""
         cols = self.arrays()
-        if extra:
-            cols = {**cols, **{k: float(v) for k, v in extra.items()}}
         for e in exprs:
-            vals = np.broadcast_to(np.asarray(ex.evaluate(e, cols), dtype=float),
-                                   (self.size,))
-            bad = np.abs(vals) < min_abs
+            bad = np.abs(evaluate_on_grid(e, cols, extra=extra)) < min_abs
             if np.any(bad):
                 idx = int(np.argmax(bad))
-                raise GridExclusionError(
-                    e, {n: float(cols[n][idx]) for n in self.names})
+                raise GridExclusionError(e, {n: float(c[idx]) for n, c in cols.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +182,22 @@ class Grid:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Grid-sampled magnitude of an equation's left-minus-right side."""
+    """Grid-sampled magnitude of an equation's left-minus-right side. ``cols``
+    is the caller's column mapping, shared and not copied: leave it unchanged."""
 
     equation: str
-    columns: tuple            # coordinate column names, in CSV order
-    points: np.ndarray        # shape (k, len(columns))
-    residuals: np.ndarray     # shape (k,)
+    cols: Mapping[str, np.ndarray]   # coordinate arrays (or scalars), CSV order
+    residuals: np.ndarray            # shape (k,)
     tolerance: float
+
+    @property
+    def columns(self) -> tuple:
+        return tuple(self.cols)
+
+    def column(self, name: str) -> np.ndarray:
+        """Coordinate ``name`` at every row."""
+        return np.broadcast_to(np.asarray(self.cols[name], dtype=float),
+                               self.residuals.shape)
 
     @property
     def max_abs(self) -> float:
@@ -214,7 +214,7 @@ class ResidualReport:
         if not self.residuals.size:
             return None
         k = int(np.argmax(np.abs(self.residuals)))
-        return {c: float(v) for c, v in zip(self.columns, self.points[k])}
+        return {c: float(self.column(c)[k]) for c in self.cols}
 
     @property
     def passed(self) -> bool:
@@ -223,12 +223,8 @@ class ResidualReport:
     @classmethod
     def from_grid(cls, equation: str, grid_cols: Mapping[str, np.ndarray],
                   residuals: np.ndarray, tolerance: float) -> "ResidualReport":
-        names = tuple(grid_cols)
-        res = np.atleast_1d(np.asarray(residuals, dtype=float))
-        pts = np.column_stack([np.broadcast_to(np.asarray(grid_cols[n], dtype=float),
-                                               res.shape).reshape(-1)
-                               for n in names]) if names else np.zeros((res.size, 0))
-        return cls(equation, names, pts, res.reshape(-1), float(tolerance))
+        res = np.atleast_1d(np.asarray(residuals, dtype=float)).reshape(-1)
+        return cls(equation, grid_cols, res, float(tolerance))
 
     def summary_line(self) -> str:
         return f"EQ {self.equation} max={self.max_abs:.6e} pass={self.passed}"
@@ -254,7 +250,7 @@ class ResidualReport:
         distinct float64 bit pattern is formatted once (so -0.0 and 0.0 keep
         their own text) and looked up for every row. ``coords`` is this
         report's ``coordinate_text(all_columns)`` when the caller already has
-        it from a report with the same points.
+        it from a report on the same columns.
         """
         if not self.residuals.size:
             return []
@@ -268,18 +264,10 @@ class ResidualReport:
         """The coordinate fields of every row under ``all_columns``, each
         followed by a comma."""
         n = self.residuals.size
-        index = {c: i for i, c in enumerate(self.columns)}
-        fields = [_float_texts(self.points[:, index[c]]) if c in index
+        fields = [_float_texts(self.column(c)) if c in self.cols
                   else itertools.repeat("", n) for c in all_columns]
         fields.append(itertools.repeat("", n))
         return list(map(",".join, zip(*fields)))
-
-    def same_points(self, other: "ResidualReport") -> bool:
-        """Same coordinate columns and bit-identical points, so that both
-        reports print the same coordinate text."""
-        a, b = (np.ascontiguousarray(r.points, dtype=np.float64) for r in (self, other))
-        return (self.columns == other.columns and a.shape == b.shape
-                and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
 def _csv_field(text: str) -> str:
@@ -318,29 +306,37 @@ def evaluate_on_grid(e: ex.Expr | Sequence[ex.Expr], cols: Mapping[str, np.ndarr
     (``(k, n)`` result, one ``ex.Program`` over their union DAG, so shared
     subtrees and quadratures run once) over flattened grid columns,
     optionally in statically partitioned chunks that each run the program
-    (pure evaluation, safe to run concurrently)."""
+    (pure evaluation, safe to run concurrently). An ``ex.EvalError`` leaves
+    with ``point``, the columns and ``extra`` bindings at its failing row."""
     single = isinstance(e, ex.Expr)
     prog = ex.Program([e] if single else e)
-    env = dict(cols)
-    if extra:
-        env.update({k: float(v) for k, v in extra.items()})
+    env = {**cols, **{k: float(v) for k, v in (extra or {}).items()}}
     sizes = [v.size for v in env.values() if isinstance(v, np.ndarray)]
     total = sizes[0] if sizes else 1
     out = np.empty((prog.size, total), dtype=float)
-    if jobs <= 1 or total < 4:
-        if total:
-            prog.run(env, out)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    try:
+        if jobs <= 1 or total < 4:
+            if total:
+                prog.run(env, out)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
 
-        def work(sl: slice):
-            sub = {k: (v[sl] if isinstance(v, np.ndarray) else v)
-                   for k, v in env.items()}
-            prog.run(sub, out[:, sl])
+            def work(sl: slice):
+                sub = {k: (v[sl] if isinstance(v, np.ndarray) else v)
+                       for k, v in env.items()}
+                try:
+                    prog.run(sub, out[:, sl])
+                except ex.EvalError as err:
+                    err.row += sl.start
+                    raise
 
-        slices = chunk_slices(total, jobs)
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            list(pool.map(work, slices))
+            slices = chunk_slices(total, jobs)
+            with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+                list(pool.map(work, slices))
+    except ex.EvalError as err:
+        err.point = {k: float(v.flat[err.row]) if isinstance(v, np.ndarray)
+                     else float(v) for k, v in env.items()}
+        raise
     return out[0] if single else out
 
 
@@ -354,12 +350,8 @@ def grid_report(label: str, exprs: Iterable[ex.Expr],
     ``extra`` binds further names for evaluation only.
     """
     live = [e for e in exprs if not (isinstance(e, ex.Const) and e.value == 0.0)]
-    if live:
-        rows = evaluate_on_grid(live, cols, extra=extra)
-        vals = np.abs(rows[0])
-        for row in rows[1:]:
-            np.maximum(vals, np.abs(row), out=vals)
-    else:
-        sizes = [v.size for v in cols.values() if isinstance(v, np.ndarray)]
-        vals = np.zeros(sizes[0] if sizes else 1)
+    rows = evaluate_on_grid(live, cols, extra=extra)
+    vals = np.abs(rows[0]) if live else np.zeros(rows.shape[1])
+    for row in rows[1:]:
+        np.maximum(vals, np.abs(row), out=vals)
     return ResidualReport.from_grid(label, cols, vals, tol)

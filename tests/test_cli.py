@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nhgeo import cli
+from nhgeo import expr as ex
 from nhgeo import geroch as gr
 from nhgeo import serialize as ser
 from nhgeo.numerics import ResidualReport
@@ -201,6 +202,72 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "h[0][0] = sqrt(v - 1)" in err and "grid point" in err
 
+    def test_singular_block_names_step_and_point(self, tmp_path, capsys):
+        # g-block zero on the grid diagonal: no entry fails on its own, so
+        # the message names the program step that divided by it
+        doc = {"chart": {"x": ["x1", "x2", "x3"], "y": ["v", "y5"], "params": []},
+               "g": [["1", "0", "0"], ["0", "exp(x2)", "0"], ["0", "0", "x3 - x2"]],
+               "h": [["1", "0"], ["0", "v^2"]],
+               "N": [["0", "0"], ["0", "0"], ["0", "0"]],
+               "provenance": {"family": "hand-written"}}
+        metric = write(tmp_path, "singular.json", doc)
+        grid = {n: {"min": 0.5, "max": 1.5, "count": 4}
+                for n in ("x1", "x2", "x3", "v", "y5")}
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": metric, "grid": grid, "tolerance": 1e-8})
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "v.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "division by zero in " in err and "x3 - x2" in err
+        assert "at grid point {'x1': 0.5, 'x2': 0.5, 'x3': 0.5," in err
+
+    def test_locating_an_error_probes_one_point(self, tmp_path, capsys,
+                                                monkeypatch):
+        metric = self.make_metric(tmp_path)
+        doc = json.loads((tmp_path / "metric.json").read_text())
+        doc["g"][1][1] = "exp(x2)*sqrt(1.45 - x1)"
+        bad = write(tmp_path, "metric_bad.json", doc)
+        grid = {n: {"min": 0.5, "max": 1.5, "count": 4}
+                for n in ("x1", "x2", "x3", "v", "y5")}
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": bad, "grid": grid, "tolerance": 1e-8})
+        calls = []
+        evaluate = ex.evaluate
+
+        def counted(e, point):
+            calls.append(point)
+            return evaluate(e, point)
+
+        monkeypatch.setattr(ex, "evaluate", counted)
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "v.csv")]) == 4
+        entries = sum(len(row) for key in ("g", "h", "N") for row in doc[key])
+        assert 0 < len(calls) <= entries
+        err = capsys.readouterr().err
+        assert err == ("evaluation error: sqrt of negative value in g[1][1] = "
+                       "exp(x2)*sqrt(-x1 + 1.45) at grid point {'x1': 1.5, "
+                       "'x2': 0.5, 'x3': 0.5, 'v': 0.5, 'y5': 0.5}\n")
+
+    def test_reports_share_two_column_mappings(self, tmp_path, monkeypatch):
+        captured = []
+        monkeypatch.setattr(cli, "_write_csv",
+                            lambda path, reports: captured.extend(reports))
+        metric = self.make_metric(tmp_path)
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": metric, "grid": GRID5Y, "tolerance": 1e-8})
+        assert cli.main(["verify", "--config", vcfg]) == 0
+        assert len(captured) == 12
+        ricci, oracles = captured[:6], captured[6:]
+        assert oracles[0].equation.startswith("oracle-")
+        for group in (ricci, oracles):
+            assert all(rep.cols is group[0].cols for rep in group)
+        assert ricci[0].cols is not oracles[0].cols
+        # the ricci reports hold the grid's own read-only columns
+        assert not any(col.flags.writeable for col in ricci[0].cols.values())
+        for rep in captured:
+            for name in rep.columns:
+                assert np.shares_memory(rep.column(name), rep.cols[name])
+
     def test_byte_identical_reruns(self, tmp_path):
         metric = self.make_metric(tmp_path)
         vcfg = write(tmp_path, "verify.json",
@@ -331,7 +398,6 @@ class TestGeroch:
         doc = json.loads((tmp_path / "t.json").read_text())
         gm = ser.metric_from_dict(doc)
         seed_gm = ser.metric_from_dict(flat_seed_doc())
-        from nhgeo import expr as ex
         p = {"x2": 1.0, "x3": 1.0, "v": 1.0, "y5": 1.0}
         for i in range(2):
             assert abs(ex.evaluate(gm.metric.g[i][i], p)
@@ -566,11 +632,11 @@ def reference_csv(path, reports):
         writer = csv.writer(fh)
         writer.writerow(["equation", *cli.CSV_COLUMNS, "residual"])
         for rep in reports:
-            index = {c: i for i, c in enumerate(rep.columns)}
+            cols = {c: rep.column(c) for c in rep.columns}
             for k in range(rep.residuals.size):
                 writer.writerow(
                     [rep.equation]
-                    + [repr(float(rep.points[k, index[c]])) if c in index else ""
+                    + [repr(float(cols[c][k])) if c in cols else ""
                        for c in cli.CSV_COLUMNS]
                     + [repr(float(rep.residuals[k]))])
 
@@ -610,18 +676,24 @@ class TestCsvWriter:
         assert "empty" not in got
         assert len(reports[0].csv_rows(cli.CSV_COLUMNS)) == 200
 
-    def test_shared_coordinate_text_keeps_signed_zeros(self, tmp_path):
-        v = np.array([0.0, 1.0, 2.0])
-        signed = np.array([-0.0, 1.0, 2.0])
+    def test_shared_coordinate_text_keeps_signed_zeros(self, tmp_path, monkeypatch):
+        v = {"v": np.array([0.0, 1.0, 2.0])}
+        signed = {"v": np.array([-0.0, 1.0, 2.0])}
         res = np.array([1e-3, 0.0, -0.0])
-        reports = [ResidualReport.from_grid(label, {"v": col}, res, 1e-8)
-                   for label, col in (("a", v), ("b", v), ("c", signed),
-                                      ("d", signed), ("e", v))]
-        reports.append(ResidualReport.from_grid("f", {"x2": v}, res, 1e-8))
-        assert reports[0].same_points(reports[1])
-        assert not reports[1].same_points(reports[2])
-        assert not reports[4].same_points(reports[5])
+        reports = [ResidualReport.from_grid(label, cols, res, 1e-8)
+                   for label, cols in (("a", v), ("b", v), ("c", signed),
+                                       ("d", signed), ("e", v))]
+        reports.append(ResidualReport.from_grid("f", {"x2": v["v"]}, res, 1e-8))
+        # reports keep their caller's mapping; the writer formats the
+        # coordinate text once per run of reports on the same mapping
+        assert reports[0].cols is reports[1].cols is v
+        formatted = []
+        text = ResidualReport.coordinate_text
+        monkeypatch.setattr(ResidualReport, "coordinate_text",
+                            lambda rep, columns: formatted.append(rep.equation)
+                            or text(rep, columns))
         got = self.assert_matches_reference(tmp_path, reports).decode()
+        assert formatted == ["a", "c", "e", "f"]
         assert "\r\nc,,,,-0.0,,,0.001\r\n" in got
         assert "\r\ne,,,,0.0,,,0.001\r\n" in got
 

@@ -86,6 +86,18 @@ class TestGrid:
         assert list(cols["a"]) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
         assert list(cols["b"]) == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
 
+    def test_arrays_built_once_read_only(self):
+        g = nm.Grid.build({"a": (0.0, 1.0, 2), "b": (0.0, 2.0, 3)})
+        cols = g.arrays()
+        assert g.arrays() is cols
+        for name in g.names:
+            assert g.arrays()[name] is cols[name]
+            assert not cols[name].flags.writeable
+            with pytest.raises(ValueError):
+                cols[name][0] = 5.0
+        with pytest.raises(TypeError):
+            cols["c"] = np.zeros(6)
+
     def test_exclusions(self):
         g = nm.Grid.build({"v": (-1.0, 1.0, 3)})  # contains v = 0
         with pytest.raises(nm.GridExclusionError):
@@ -203,6 +215,48 @@ class TestProgramOnGrid:
         cols = nm.Grid.build({"v": (0.5, 1.5, 40)}).arrays()
         rep = nm.grid_report("eq", [ex.sub(V, 1), ex.mul(V, V)], cols, 1.0)
         assert rep.residuals.size == 40
+
+
+class TestEvalErrorLocation:
+    """evaluate_on_grid names the first failing row of the failing step."""
+
+    def test_first_failing_row_and_step(self):
+        x = ex.var("x")
+        root = ex.sqrt(ex.sub(x, 1))
+        cols = {"x": np.array([2.0, 1.5, 1.0, 0.5, 0.0, 0.5])}
+        with pytest.raises(ex.DomainError) as err:
+            nm.evaluate_on_grid([ex.mul(2, x), ex.add(root, x)], cols,
+                                extra={"p": 3})
+        assert err.value.row == 3
+        assert err.value.node is root
+        assert err.value.point == {"x": 0.5, "p": 3.0}
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_row_counts_from_the_whole_grid(self, jobs):
+        cols = nm.Grid.build({"v": (0.5, 1.5, 3), "x2": (0.0, 2.0, 5)}).arrays()
+        with pytest.raises(ex.DivisionByZeroError) as err:
+            nm.evaluate_on_grid(ex.div(V, ex.sub(ex.var("x2"), 1)), cols, jobs)
+        assert err.value.row == 2
+        assert err.value.point == {"v": 0.5, "x2": 1.0}
+
+    def test_scalar_failure_and_unbound_name_take_row_0(self):
+        cols = {"v": np.array([0.5, 1.0])}
+        with pytest.raises(ex.UnboundVariableError) as err:
+            nm.evaluate_on_grid(ex.add(V, ex.var("theta1")), cols)
+        assert err.value.point == {"v": 0.5}
+        with pytest.raises(ex.DomainError) as err:
+            nm.evaluate_on_grid(ex.mul(V, ex.ln(ex.var("c"))), cols,
+                                extra={"c": -1.0})
+        assert err.value.row == 0 and err.value.point == {"v": 0.5, "c": -1.0}
+
+    def test_integral_names_its_failing_tuple(self):
+        F = ex.intv(ex.sqrt(ex.sub(ex.var("x2"), V)), 0.0)
+        cols = {"v": np.array([0.5, 0.5, 1.5, 0.5]),
+                "x2": np.array([1.0, 1.0, 1.0, 0.2])}
+        with pytest.raises(ex.DomainError) as err:
+            nm.evaluate_on_grid(ex.add(V, F), cols)
+        assert err.value.row == 2 and err.value.node is F
+        assert err.value.point == {"v": 1.5, "x2": 1.0}
 
 
 class TestReportSerialization:
