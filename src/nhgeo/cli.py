@@ -75,17 +75,6 @@ def _metric_entries(gm) -> list:
             for i, row in enumerate(block) for j, e in enumerate(row)]
 
 
-def _function_entries(cfg) -> list:
-    """The recipe functions and source terms of an already-read recipe, as
-    (name, expression). Any name the recipe readers accept is allowed here,
-    so the trees are those the readers built."""
-    names = (*ser._GEN_VARS, "chi", *cfg.get("params", ()))
-    docs = {f"functions.{k}": s for k, s in cfg["functions"].items()}
-    docs.update((f"source.{k}", s) for k, s in dict(cfg.get("source") or {}).items()
-                if k in ("upsilon2", "upsilon4"))
-    return [(name, ser.parse_expr(s, names, name)) for name, s in docs.items()]
-
-
 def _eval_error(message) -> int:
     print(f"evaluation error: {message}", file=sys.stderr)
     return EXIT_EVAL
@@ -183,20 +172,9 @@ def verification_reports(gm, source, grid, tol, seed=0,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _tolerance(args, cfg, default):
-    tol = args.tol if args.tol is not None else float(cfg.get("tolerance", default))
-    if not tol > 0.0:
-        raise ser.ConfigError(f"tolerance must be positive, got {tol}")
-    return tol
-
-
 def cmd_generate(args) -> int:
-    cfg = ser.load_json(args.config)
-    family, recipe, src = ser.recipe_from_dict(cfg)
-    grid = ser.grid_from_dict(ser._need(cfg, "grid", "recipe"))
-    tol = _tolerance(args, cfg, 1e-10)
-
-    params = {str(k): float(v) for k, v in dict(cfg.get("param_values", {})).items()}
+    family, recipe, src, entries, grid, tol, params = ser.generate_config(
+        ser.load_json(args.config), tolerance=args.tol)
     reports, gm = [], None
     try:
         if family == "gensol1_5d":
@@ -218,7 +196,7 @@ def cmd_generate(args) -> int:
                           if e.free_vars <= bound and not ex.has_integral(e)],
                          grid.arrays(), extra=params)
     except ex.EvalError as err:
-        entries = _function_entries(cfg) + (_metric_entries(gm) if gm else [])
+        entries = [*entries, *(_metric_entries(gm) if gm else [])]
         return _eval_error(_locate_eval_error(entries, err))
 
     payload = ser.metric_to_dict(gm)
@@ -234,32 +212,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = ser.load_json(args.config)
-    metric_doc = ser._need(cfg, "metric", "verify config")
-    if isinstance(metric_doc, str):
-        metric_doc = ser.load_json(metric_doc)
-    gm = ser.metric_from_dict(metric_doc)
-    grid = ser.grid_from_dict(ser._need(cfg, "grid", "verify config"))
-    allowed = gm.chart.all_names
-    source = ser.source_from_dict(cfg.get("source"), allowed)
-    tol = _tolerance(args, cfg, 1e-8)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-
-    checks = tuple(cfg.get("checks", ("ricci", "oracles")))
-    params = {str(k): float(v) for k, v in dict(cfg.get("params", {})).items()}
+    conf = ser.verify_config(ser.load_json(args.config), tolerance=args.tol,
+                             seed=args.seed)
+    gm = conf.metric
     try:
         reports = verification_reports(
-            gm, source, grid, tol, seed=seed,
-            oracle_points=int(cfg.get("oracle_points", 50)),
-            oracle_tol=float(cfg.get("oracle_tolerance", 1e-9)),
-            checks=checks, params=params or None)
+            gm, conf.source, conf.grid, conf.tol, seed=conf.seed,
+            oracle_points=conf.oracle_points, oracle_tol=conf.oracle_tol,
+            checks=conf.checks, params=conf.params)
     except ex.EvalError as err:
         return _eval_error(_locate_eval_error(_metric_entries(gm), err))
     out = args.out or "verify.csv"
     _write_csv(out, reports)
-    summary = cfg.get("summary")
-    if summary:
-        with open(summary, "w", encoding="utf-8") as fh:
+    if conf.summary:
+        with open(conf.summary, "w", encoding="utf-8") as fh:
             fh.write(reports_to_json(reports))
             fh.write("\n")
     ok = _summarize(reports)
@@ -281,21 +247,17 @@ def _per_chi_sections(reports, chis):
 
 
 def cmd_flow(args) -> int:
-    cfg = ser.load_json(args.config)
-    family, recipe = ser.flow_recipe_from_dict(cfg)
-    grid = ser.grid_from_dict(ser._need(cfg, "grid", "flow config"))
-    chis = ser.chi_samples_from_dict(cfg)
-    tol = _tolerance(args, cfg, 1e-7)
-
+    family, recipe, entries, grid, chis, tol = ser.flow_config(
+        ser.load_json(args.config), tolerance=args.tol)
     try:
         if family == "flow_solrf1":
             fam = rf.build_flow_solution(recipe, grid, chis, tol=max(tol, 1e-8))
-            reports = rf.flow_residuals(fam, grid, chis, tol)
+            reports = rf.flow_residuals(fam, grid, tol)
         else:
             fam, lc_reports = rf.build_lc_flow(recipe, grid, chis, tol)
-            reports = lc_reports + rf.flow_residuals(fam, grid, chis, tol)
+            reports = lc_reports + rf.flow_residuals(fam, grid, tol)
     except ex.EvalError as err:
-        return _eval_error(_locate_eval_error(_function_entries(cfg), err))
+        return _eval_error(_locate_eval_error(entries, err))
 
     out = args.out or "flow.csv"
     _write_csv(out, reports)
@@ -306,56 +268,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_geroch(args) -> int:
-    cfg = ser.load_json(args.config)
-    seed_doc = ser._need(cfg, "seed", "transform config")
-    if isinstance(seed_doc, str):
-        seed_doc = ser.load_json(seed_doc)
-    gm = ser.metric_from_dict(seed_doc)
-    if gm.chart.dim == 5:
-        gm = gr.drop_trivial_x1(gm)
-    grid = ser.grid_from_dict(ser._need(cfg, "grid", "transform config"))
-    tol = _tolerance(args, cfg, 1e-8)
-    allowed = gm.chart.all_names
-
-    xi_doc = cfg.get("xi")
-    xi = gr.KillingData.build(
-        [ser.parse_expr(c, allowed, "xi") for c in xi_doc]) if xi_doc else None
-
-    def potentials_from(doc):
-        return gr.GerochPotentials.build(
-            ser.parse_expr(doc.get("omega", 0), allowed, "potentials.omega"),
-            [ser.parse_expr(c, allowed, "potentials.alpha")
-             for c in doc.get("alpha", [0, 0, 0, 0])],
-            [ser.parse_expr(c, allowed, "potentials.beta")
-             for c in doc.get("beta", [0, 0, 0, 0])],
-            [ser.parse_expr(c, allowed, "potentials.mu")
-             for c in doc.get("mu", [0, 0, 0, 0])])
-
-    steps_doc = cfg.get("steps")
-    if steps_doc is None:
-        steps_doc = [{"kind": "geroch", "theta": float(cfg.get("theta", 0.0)),
-                      "potentials": ser._need(cfg, "potentials", "transform config")}]
-
-    steps = []
-    for k, sd in enumerate(steps_doc):
-        kind = sd.get("kind", "geroch")
-        if kind == "geroch":
-            if xi is None:
-                raise ser.ConfigError("transform steps need a Killing covector 'xi'")
-            pot = potentials_from(ser._need(sd, "potentials", f"steps[{k}]"))
-            steps.append(gr.GerochStep(float(sd.get("theta", 0.0)), xi, pot))
-        elif kind == "deform":
-            pd = ser._need(sd, "polarizations", f"steps[{k}]")
-            n, m = gm.chart.n, gm.chart.m
-            pol = gr.Polarizations.build(
-                [ser.parse_expr(c, allowed, "eta_h") for c in pd.get("eta_h", [1] * n)],
-                [ser.parse_expr(c, allowed, "eta_v") for c in pd.get("eta_v", [1] * m)],
-                [[ser.parse_expr(c, allowed, "eta_n") for c in row]
-                 for row in pd.get("eta_n", [[1] * m] * n)])
-            steps.append(gr.DeformStep(pol))
-        else:
-            raise ser.ConfigError(f"unknown step kind {kind!r}")
-
+    gm, grid, tol, xi, steps = ser.transform_config(ser.load_json(args.config),
+                                                    tolerance=args.tol)
     reports, setup = [], None
     try:
         if xi is not None:  # else every step is a deformation

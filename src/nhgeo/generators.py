@@ -28,13 +28,12 @@ import numpy as np
 from . import expr as ex
 from .geometry import (Chart, DMetric, NConnection, SingularMetric, chart_4d,
                        chart_5d, coordinate_metric)
-from .numerics import (Grid, GridExclusionError, ResidualReport, evaluate_on_grid,
-                       grid_report)
+from .numerics import Grid, GridExclusionError, evaluate_on_grid, grid_report
 
 __all__ = [
     "DegenerateRecipe", "PhiConstant", "Source", "SolutionRecipe5D",
     "VacuumLCRecipe", "SourcedLCRecipe", "GeneratedMetric", "AuxCoeffs",
-    "check_h_equation", "build_varsigma", "generate_5d", "generate_4d",
+    "build_varsigma", "generate_5d", "generate_4d",
     "generate_vacuum_lc", "generate_sourced_lc", "aux_coeffs",
     "closed_r22", "closed_s44", "closed_r4i", "closed_r5i",
 ]
@@ -225,7 +224,7 @@ def aux_coeffs(h4: ex.Expr, h5: ex.Expr) -> AuxCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# the 2D h-sector check
+# closed-form oracles (engine-calibrated)
 # ---------------------------------------------------------------------------
 
 def closed_r22(g2: ex.Expr, g3: ex.Expr) -> ex.Expr:
@@ -240,18 +239,6 @@ def closed_r22(g2: ex.Expr, g3: ex.Expr) -> ex.Expr:
     )
     return ex.div(num, ex.mul(2, g2, g3))
 
-
-def check_h_equation(g2: ex.Expr, g3: ex.Expr, upsilon4: ex.Expr, grid: Grid,
-                     tol: float = 1e-10, extra=None) -> ResidualReport:
-    """Residual of the 2D equation R^2_2 + Upsilon_4 = 0 on the grid."""
-    cols = grid.arrays()
-    res = evaluate_on_grid(ex.add(closed_r22(g2, g3), upsilon4), cols, extra=extra)
-    return ResidualReport.from_grid("h-equation", cols, res, tol)
-
-
-# ---------------------------------------------------------------------------
-# closed-form mixed-sector oracles (engine-calibrated)
-# ---------------------------------------------------------------------------
 
 def closed_s44(h4: ex.Expr, h5: ex.Expr) -> ex.Expr:
     """Mixed Ricci component S^4_4 (= S^5_5) of the v-sector, closed form."""

@@ -99,9 +99,9 @@ class Polarizations:
         out = cls(tuple(ex.as_expr(e) for e in eta_h),
                   tuple(ex.as_expr(e) for e in eta_v),
                   tuple(tuple(ex.as_expr(e) for e in row) for row in eta_n))
-        for e in (*out.eta_h, *out.eta_v):
-            if ex.is_zero(e):
-                raise ZeroPolarization("diagonal polarizations must be nonzero")
+        for name in ("eta_h", "eta_v"):
+            if any(ex.is_zero(e) for e in getattr(out, name)):
+                raise ZeroPolarization(f"diagonal polarizations in {name} must be nonzero")
         return out
 
     @classmethod

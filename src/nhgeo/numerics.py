@@ -27,7 +27,7 @@ import numpy as np
 from . import expr as ex
 
 __all__ = [
-    "Quadrature", "Grid", "ResidualReport", "MaxDepthExceeded",
+    "Quadrature", "Grid", "SampledGrid", "ResidualReport", "MaxDepthExceeded",
     "GridExclusionError", "adaptive_simpson", "integrate_v",
     "DEFAULT_QUADRATURE", "grid_report",
 ]
@@ -164,16 +164,56 @@ class Grid:
             g.flags.writeable = False
         return MappingProxyType({n: g.reshape(-1) for n, g in zip(self.names, grids)})
 
+    def sampled(self, name: str, samples: Sequence[float]) -> "SampledGrid":
+        """This grid once per sample of ``name``; one SampledGrid, so one set
+        of columns, per name and sample tuple."""
+        samples = tuple(map(float, samples))
+        key = (name, np.asarray(samples).tobytes())
+        return self._sampled.setdefault(key, SampledGrid(self.axes, name, samples))
+
+    @functools.cached_property
+    def _sampled(self) -> dict:
+        return {}
+
     def check_exclusions(self, exprs: Iterable[ex.Expr], min_abs: float = 1e-9,
                          extra: Mapping[str, float] | None = None) -> None:
         """Raise if any grid point lies within min_abs of an excluded locus
-        (an expression whose zero set must be avoided), one locus at a time."""
+        (an expression whose zero set must be avoided), one locus at a time;
+        the point gives the grid columns, then the ``extra`` bindings."""
         cols = self.arrays()
         for e in exprs:
             bad = np.abs(evaluate_on_grid(e, cols, extra=extra)) < min_abs
             if np.any(bad):
                 idx = int(np.argmax(bad))
-                raise GridExclusionError(e, {n: float(c[idx]) for n, c in cols.items()})
+                point = {n: float(c[idx]) for n, c in cols.items()}
+                point.update((k, float(v)) for k, v in (extra or {}).items())
+                raise GridExclusionError(e, point)
+
+
+@dataclass(frozen=True)
+class SampledGrid(Grid):
+    """A grid repeated once per sample of one more variable ``name`` (the
+    grid x chi points of an evolution family); ``name`` is the last column."""
+
+    name: str
+    samples: tuple
+
+    @property
+    def names(self) -> tuple:
+        return (*super().names, self.name)
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.samples), *super().shape)
+
+    @functools.cached_property
+    def _arrays(self) -> Mapping[str, np.ndarray]:
+        grid = Grid(self.axes)
+        cols = {n: np.tile(c, len(self.samples)) for n, c in grid.arrays().items()}
+        cols[self.name] = np.repeat(np.asarray(self.samples), grid.size)
+        for c in cols.values():
+            c.flags.writeable = False
+        return MappingProxyType(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import expr as ex
-from .generators import (DegenerateRecipe, GeneratedMetric, _assemble,
-                         _conformal, _lc_selection, _phi_mixing, aux_coeffs)
+from .generators import (DegenerateRecipe, GeneratedMetric, _assemble, _conformal,
+                         _d2, _d3, _dv, _lc_selection, _phi_mixing, aux_coeffs)
 from .geometry import (canonical_dconnection, chart_4d, chart_5d,
                        coordinate_lc_ricci, coordinate_metric, curvature_ricci)
 from .numerics import Grid, ResidualReport, grid_report
@@ -78,28 +76,6 @@ def _dchi(e):
     return ex.diff(e, CHI)
 
 
-def _dv(e):
-    return ex.diff(e, "v")
-
-
-def _d2(e):
-    return ex.diff(e, "x2")
-
-
-def _d3(e):
-    return ex.diff(e, "x3")
-
-
-def _stacked_cols(grid: Grid, chi_samples: Sequence[float], extra=None) -> dict:
-    base = grid.arrays()
-    reps = len(chi_samples)
-    out = {k: np.tile(vals, reps) for k, vals in base.items()}
-    out[CHI] = np.repeat(np.asarray(chi_samples, dtype=float), grid.size)
-    if extra:
-        out.update({k: float(v) for k, v in extra.items()})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # evolution residuals
 # ---------------------------------------------------------------------------
@@ -138,17 +114,15 @@ def flow_residual_components(fam: FlowFamily):
     return eq_h, eq_v, off
 
 
-def flow_residuals(fam: FlowFamily, grid: Grid,
-                   chi_samples: Sequence[float] | None = None,
-                   tol: float = 1e-10, extra=None) -> list:
-    """One report per evolution equation, evaluated on grid x chi samples.
-    ``extra`` binds any declared parameter names beyond chi."""
-    chis = tuple(chi_samples) if chi_samples is not None else fam.chi_samples
+def flow_residuals(fam: FlowFamily, grid: Grid, tol: float = 1e-10,
+                   extra=None) -> list:
+    """One report per evolution equation, evaluated on grid x the family's
+    chi samples. ``extra`` binds any declared parameter names beyond chi."""
     eq_h, eq_v, off = flow_residual_components(fam)
-    cols = _stacked_cols(grid, chis, extra)
-    return [grid_report("evol-h", eq_h, cols, tol),
-            grid_report("evol-v", eq_v, cols, tol),
-            grid_report("ricci-offdiag", off, cols, tol)]
+    cols = grid.sampled(CHI, fam.chi_samples).arrays()
+    return [grid_report("evol-h", eq_h, cols, tol, extra),
+            grid_report("evol-v", eq_v, cols, tol, extra),
+            grid_report("ricci-offdiag", off, cols, tol, extra)]
 
 
 def hamilton_residual_components(fam: FlowFamily):
@@ -164,13 +138,11 @@ def hamilton_residual_components(fam: FlowFamily):
                        for b in range(d)) for a in range(d))
 
 
-def hamilton_residual(fam: FlowFamily, grid: Grid,
-                      chi_samples: Sequence[float] | None = None,
-                      tol: float = 1e-10, extra=None) -> ResidualReport:
-    chis = tuple(chi_samples) if chi_samples is not None else fam.chi_samples
+def hamilton_residual(fam: FlowFamily, grid: Grid, tol: float = 1e-10,
+                      extra=None) -> ResidualReport:
     comps = hamilton_residual_components(fam)
-    cols = _stacked_cols(grid, chis, extra)
-    return grid_report("hamilton", [c for row in comps for c in row], cols, tol)
+    return grid_report("hamilton", [c for row in comps for c in row],
+                       grid.sampled(CHI, fam.chi_samples).arrays(), tol, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +197,9 @@ class LCFlowRecipe:
 def build_flow_solution(recipe: FlowRecipe, grid: Grid,
                         chi_samples: Sequence[float],
                         tol: float = 1e-8, extra=None) -> FlowFamily:
-    """Assemble the integrable chi-family and check its two compatibility
-    equations on the grid; raises HorizontalCompatibilityError / QuadratureCompatibilityError."""
+    """Assemble the integrable chi-family and check it, and its two
+    compatibility equations, on the grid at every chi sample; raises
+    DegenerateRecipe / HorizontalCompatibilityError / QuadratureCompatibilityError."""
     e1, e2, e3, e4, e5 = recipe.signatures
     h5 = recipe.h5
     h5s = _dv(h5)
@@ -243,8 +216,8 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
                    ex.intv(ex.div(ex.mul(h_prof, h5), h5s), recipe.v0)))
     h4 = ex.mul(h_prof, varsigma4)
 
-    at_chi0 = {CHI: float(chi_samples[0]), **(extra or {})}
-    w2, w3 = _phi_mixing(aux_coeffs(h4, h5).phi, grid, at_chi0) or (ex.ZERO, ex.ZERO)
+    points = grid.sampled(CHI, chi_samples)
+    w2, w3 = _phi_mixing(aux_coeffs(h4, h5).phi, points, extra) or (ex.ZERO, ex.ZERO)
 
     n_integrand = ex.div(h4, ex.pow_(root5, 3))
     if ex.is_zero(recipe.n2fn):
@@ -258,9 +231,8 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
         [ex.const(e1), ex.mul(e2, recipe.varpi), ex.mul(e3, recipe.varpi)],
         h4, h5, (ex.ZERO, w2, w3), (ex.ZERO, n2, n2),
         provenance={"family": "flow_integrable", "lam": recipe.lam},
-        excluded=(h5s, varsigma4, recipe.varpi), grid=grid, extra=at_chi0)
-
-    cols = _stacked_cols(grid, chi_samples, extra)
+        excluded=(h5s, varsigma4, recipe.varpi), grid=points, extra=extra)
+    cols = points.arrays()
 
     if not ex.is_zero(recipe.n2fn):
         # C(x2,x3) = h5 * indefinite integral of h4/(sqrt|h5|)^3 must be
@@ -268,7 +240,7 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
         # is equivalent to d_v [ d_v(h5 I) / h5* ] = 0 for the definite I.
         prof = ex.mul(h5, ex.intv(n_integrand, recipe.v0))
         c_resid = _dv(ex.div(_dv(prof), h5s))
-        crep = grid_report("quadrature-compat", [c_resid], cols, tol)
+        crep = grid_report("quadrature-compat", [c_resid], cols, tol, extra)
         if not crep.passed:
             raise QuadratureCompatibilityError(crep)
 
@@ -276,29 +248,30 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
     rfea1 = ex.add(ex.mul(e2, _d2(_d2(lnv))), ex.mul(e3, _d3(_d3(lnv))),
                    ex.mul(-2.0, recipe.lam),
                    ex.mul(h5, _dchi(ex.pow_(n2, 2))))
-    rep = grid_report("h-compat", [rfea1], cols, tol)
+    rep = grid_report("h-compat", [rfea1], cols, tol, extra)
     if not rep.passed:
         raise HorizontalCompatibilityError(rep)
 
-    return FlowFamily(metric, recipe.lam, tuple(float(c) for c in chi_samples))
+    return FlowFamily(metric, recipe.lam, points.samples)
 
 
 def build_lc_flow(recipe: LCFlowRecipe, grid: Grid, chi_samples: Sequence[float],
                   tol: float = 1e-10, v_reading: str = "consistent",
                   extra=None):
-    """Assemble the Levi-Civita flow family and report its selection
-    constraints (the four coupled equations plus the two transports)."""
+    """Assemble the Levi-Civita flow family, checked on the grid at every chi
+    sample, and report its selection constraints (the four coupled equations
+    plus the two transports)."""
     h4, h5 = recipe.h4, recipe.h5
     w, n = (recipe.w2, recipe.w3), (recipe.n2, recipe.n2)
+    points = grid.sampled(CHI, chi_samples)
     lines = _lc_selection(recipe.signatures, recipe.psi, h4, h5, w, n,
                           recipe.lam, v_reading, aux_coeffs(h4, h5).phi)
     metric = _assemble(
         chart_4d((*recipe.params, CHI)), _conformal(recipe.signatures, recipe.psi),
         h4, h5, w, n, provenance={"family": "flow_lc", "lam": recipe.lam},
-        excluded=(h4, h5, _dv(h5)), grid=grid,
-        extra={CHI: float(chi_samples[0]), **(extra or {})})
-    cols = _stacked_cols(grid, chi_samples, extra)
+        excluded=(h4, h5, _dv(h5)), grid=points, extra=extra)
     reports = [grid_report("n-evolution" if label == "n-curl" else label,
-                           exprs, cols, tol) for label, exprs in lines.items()]
-    fam = FlowFamily(metric, recipe.lam, tuple(float(c) for c in chi_samples))
+                           exprs, points.arrays(), tol, extra)
+               for label, exprs in lines.items()]
+    fam = FlowFamily(metric, recipe.lam, points.samples)
     return fam, reports

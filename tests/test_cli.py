@@ -1,10 +1,13 @@
 """Command-line pipelines: recipes in, metrics/CSV out, exit-code contract."""
 
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhgeo import cli
 from nhgeo import expr as ex
@@ -133,6 +136,23 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "functions.g2 = sqrt(x2 - 1)" in err and "grid point" in err
         assert not out.exists()
+
+    def test_unread_function_is_a_config_error(self, tmp_path, capsys):
+        recipe = vacuum_recipe()
+        recipe["functions"]["g2"] = "exp(x2)*sqrt(x2-1)"
+        argv = ["generate", "--config", write(tmp_path, "recipe.json", recipe),
+                "--out", str(tmp_path / "m.json")]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            "evaluation error: sqrt of negative value in functions.g2 = "
+            "exp(x2)*sqrt(x2 - 1) at grid point {'x1': 0.5, 'x2': 0.5, 'x3': 0.5, "
+            "'v': 0.5}\n")
+        recipe["functions"]["note"] = "zz"
+        write(tmp_path, "recipe.json", recipe)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: functions.note: family 'gensol1_5d' reads no "
+            "function 'note'\n")
 
     def test_non_finite_constant_exits_2(self, tmp_path, capsys):
         recipe = vacuum_recipe()
@@ -375,7 +395,23 @@ class TestFlow:
         assert "functions.h5 = sqrt(v - 1)" in err and "grid point" in err
         assert "'chi': 0.0" in err
 
-    def test_lc_flow_family(self, tmp_path):
+    def test_locus_at_a_later_chi_sample_exit_3(self, tmp_path, capsys):
+        # varpi vanishes at the last chi sample only
+        bad = self.flow_cfg()
+        bad["functions"]["varpi"] = "exp(x2)*(1 - chi)"
+        cfg = write(tmp_path, "flow.json", bad)
+        assert cli.main(["flow", "--config", cfg,
+                         "--out", str(tmp_path / "f.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "degenerate recipe: grid point {'x1': 0.5, 'x2': 0.5, 'x3': 0.5, "
+            "'v': 0.5, 'y5': 0.5, 'chi': 1.0} lies on excluded locus "
+            "exp(x2)*(-chi + 1) = 0\n")
+
+    def test_lc_flow_family(self, tmp_path, monkeypatch):
+        captured = []
+        write_csv = cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda path, reports: (
+            captured.extend(reports), write_csv(path, reports)))
         cfg = write(tmp_path, "flow.json", {
             "family": "flow_lc", "lambda": 0.0, "signatures": [1, 1, 1, 1],
             "chi": [0.0, 1.0],
@@ -384,6 +420,10 @@ class TestFlow:
             "grid": GRID4, "tolerance": 1e-8})
         assert cli.main(["flow", "--config", cfg,
                          "--out", str(tmp_path / "f.csv")]) == 0
+        # selection and evolution reports share the grid x chi columns
+        assert len(captured) == 9
+        assert all(rep.cols is captured[0].cols for rep in captured)
+        assert not any(col.flags.writeable for col in captured[0].cols.values())
 
 
 class TestGeroch:
@@ -519,6 +559,129 @@ class TestInternalError:
         assert cli.main(["expr", "check", "v"]) == cli.EXIT_INTERNAL == 6
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom second line\n"
+
+
+def command_configs():
+    """A valid config of each command, its metric and seed given inline."""
+    return {
+        "generate": vacuum_recipe(),
+        "verify": {"metric": flat_seed_doc(), "grid": GRID4, "tolerance": 1e-8,
+                   "seed": 3, "oracle_points": 5, "oracle_tolerance": 1e-9,
+                   "checks": ["ricci", "oracles"]},
+        "flow": TestFlow().flow_cfg(),
+        "geroch": {"seed": flat_seed_doc(), "xi": ["0.7", "0.2", "0", "0.4"],
+                   "theta": 0.3, "potentials": flat_potentials_doc(),
+                   "grid": GRID4, "tolerance": 1e-8},
+        "geroch-chain": {
+            "seed": flat_seed_doc(), "xi": ["0.7", "0.2", "0", "0.4"],
+            "steps": [{"kind": "geroch", "theta": 0.3,
+                       "potentials": flat_potentials_doc()},
+                      {"kind": "deform",
+                       "polarizations": {"eta_h": ["2", "1"], "eta_v": ["1", "1"],
+                                         "eta_n": [["1", "1"], ["1", "1"]]}}],
+            "grid": GRID4, "tolerance": 1e-8},
+    }
+
+
+def run_with(tmp_path, command, path, value):
+    """Exit code and stderr of ``command`` with its config's field at
+    ``path`` (a tuple of keys and indices) set to ``value``; it writes no
+    output."""
+    cfg = command_configs()[command]
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / "out"
+    argv = [command.split("-")[0], "--config", write(tmp_path, "cfg.json", cfg),
+            "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert not out.exists()
+    return code, err.getvalue()
+
+
+DEFORM = ("steps", 1, "polarizations")
+
+
+class TestMalformedFields:
+    """A field of the wrong type, or one that does not convert, exits 2 with
+    one config error naming it, before anything is computed or written."""
+
+    @pytest.mark.parametrize("command, path, value, named", [
+        pytest.param("verify", ("checks",), ["ricci_typo"],
+                     "'checks' in verify config", id="checks-typo"),
+        pytest.param("verify", ("checks",), "ricci", "'checks' in verify config",
+                     id="checks-string"),
+        pytest.param("verify", ("checks",), [], "'checks' in verify config",
+                     id="checks-empty"),
+        pytest.param("verify", ("oracle_points",), "many",
+                     "'oracle_points' in verify config", id="oracle-points"),
+        pytest.param("verify", ("params",), {"a": "x"}, "'a' in params",
+                     id="verify-params"),
+        pytest.param("verify", ("tolerance",), "tight",
+                     "'tolerance' in verify config", id="verify-tolerance"),
+        pytest.param("verify", ("summary",), ["s.json"],
+                     "'summary' in verify config", id="summary"),
+        pytest.param("generate", ("v0",), "one", "'v0' in recipe", id="v0"),
+        pytest.param("generate", ("param_values",), {"a": "x"},
+                     "'a' in param_values", id="param-values"),
+        pytest.param("generate", ("functions", "n2_l"), "1", "functions.n2_l",
+                     id="unread-function"),
+        pytest.param("flow", ("lambda",), "zero", "'lambda' in flow recipe",
+                     id="flow-lambda"),
+        pytest.param("flow", ("chi",), ["a"], "chi needs", id="chi-list"),
+        pytest.param("geroch", ("theta",), "small", "'theta' in transform config",
+                     id="theta"),
+        pytest.param("geroch", ("steps",), {"kind": "geroch"},
+                     "'steps' in transform config", id="steps-object"),
+        pytest.param("geroch", ("xi",), ["0.7", "0.2", "0"],
+                     "'xi' in transform config must list 4 expressions", id="xi-short"),
+        pytest.param("geroch", ("potentials", "alpha"), ["0"] * 5,
+                     "'alpha' in steps[0].potentials must list 4 expressions",
+                     id="alpha-long"),
+        pytest.param("geroch", ("seed",), {
+            "chart": {"x": ["x1", "x2", "x3"], "y": ["v", "y5"]},
+            "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            "h": [["1", "0"], ["0", "1"]], "N": [["x2", "0"], ["0", "0"], ["0", "0"]]},
+            "seed: x1 row of the N-coefficients must vanish", id="seed-x1-row"),
+        pytest.param("geroch-chain", (*DEFORM, "eta_h"), ["0", "1"],
+                     "eta_h must be nonzero", id="eta-h-zero"),
+        pytest.param("geroch-chain", (*DEFORM, "eta_h"), ["1"],
+                     "'eta_h' in steps[1].polarizations must list 2 expressions",
+                     id="eta-h-shape"),
+        pytest.param("geroch-chain", (*DEFORM, "eta_n"), [["1"], ["1"]],
+                     "'eta_n' in steps[1].polarizations", id="eta-n-shape"),
+    ])
+    def test_fault_exits_2_naming_the_field(self, tmp_path, command, path, value,
+                                            named):
+        code, err = run_with(tmp_path, command, path, value)
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err
+
+    # documented scalar and list fields; the last key is the name the error gives
+    FIELDS = [("generate", ("tolerance",)), ("generate", ("v0",)),
+              ("generate", ("signatures",)), ("verify", ("tolerance",)),
+              ("verify", ("seed",)), ("verify", ("checks",)),
+              ("verify", ("oracle_points",)), ("verify", ("oracle_tolerance",)),
+              ("flow", ("lambda",)), ("flow", ("v0",)), ("flow", ("chi",)),
+              ("flow", ("tolerance",)), ("geroch", ("theta",)), ("geroch", ("xi",)),
+              ("geroch", ("tolerance",)), ("geroch-chain", ("steps", 0, "theta")),
+              ("geroch-chain", (*DEFORM, "eta_h")), ("geroch-chain", (*DEFORM, "eta_v"))]
+    # strings that are neither numbers nor names of a check group, variable
+    # or function, so no drawn value is valid for any of these fields
+    TEXT = st.text(alphabet="abz#@ ", max_size=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(FIELDS),
+           value=st.one_of(TEXT, st.lists(TEXT, max_size=3),
+                           st.dictionaries(TEXT, st.integers(), max_size=2)))
+    def test_malformed_field_exits_2(self, tmp_path_factory, field, value):
+        command, path = field
+        code, err = run_with(tmp_path_factory.mktemp("cfg"), command, path, value)
+        assert code == 2, err
+        assert err.startswith("config error: ") and path[-1] in err
 
 
 class TestMoreFamilies:

@@ -98,6 +98,26 @@ class TestGrid:
         with pytest.raises(TypeError):
             cols["c"] = np.zeros(6)
 
+    def test_sampled_columns_built_once(self):
+        g = nm.Grid.build({"a": (0.0, 1.0, 2), "b": (0.0, 2.0, 3)})
+        sg = g.sampled("chi", [0.0, 0.5])
+        assert g.sampled("chi", (0.0, 0.5)) is sg
+        assert g.sampled("chi", (-0.0, 0.5)) is not sg   # signed zeros differ
+        cols = sg.arrays()
+        assert sg.names == ("a", "b", "chi") and tuple(cols) == sg.names
+        assert sg.size == 12 and sg.samples == (0.0, 0.5)
+        assert list(cols["chi"]) == [0.0] * 6 + [0.5] * 6
+        assert list(cols["b"]) == [0.0, 1.0, 2.0] * 4
+        assert not any(c.flags.writeable for c in cols.values())
+
+    def test_excluded_point_names_bound_values_last(self):
+        sg = nm.Grid.build({"v": (0.5, 1.5, 3)}).sampled("chi", [0.0, 1.0])
+        locus = ex.sub(ex.mul(ex.var("chi"), ex.var("v")), ex.var("p"))
+        with pytest.raises(nm.GridExclusionError) as err:
+            sg.check_exclusions([locus], extra={"p": 1.5})
+        assert err.value.point == {"v": 1.5, "chi": 1.0, "p": 1.5}
+        assert list(err.value.point) == ["v", "chi", "p"]
+
     def test_exclusions(self):
         g = nm.Grid.build({"v": (-1.0, 1.0, 3)})  # contains v = 0
         with pytest.raises(nm.GridExclusionError):

@@ -50,11 +50,14 @@ class TestMetricDocuments:
 
 class TestRecipeParsing:
     def test_defaults_filled(self):
-        family, recipe, src = ser.recipe_from_dict({
+        family, recipe, src, entries = ser.recipe_from_dict({
             "family": "gensol1_4d", "signatures": [1, 1, 1, 1, 1],
             "functions": {"g2": "exp(x2)", "g3": "exp(x2)", "f": "v"},
         })
         assert family == "gensol1_4d"
+        assert [name for name, _ in entries] == [
+            "functions.g2", "functions.g3", "functions.f",
+            "source.upsilon2", "source.upsilon4"]
         assert ex.is_zero(recipe.f0)
         assert ex.is_zero(src.upsilon2) and ex.is_zero(src.upsilon4)
         gm = gen.generate_4d(recipe, src)
