@@ -297,13 +297,10 @@ def cmd_expr(args) -> int:
         raise ser.ConfigError(f"unknown expr action {args.action!r}")
     allowed = tuple(v for v in (args.vars or "").split(",") if v)
     e = ex.parse(args.expression, allowed)
+    point = ser.point_from_text(args.at) if args.at else None
     print(f"ok: {ex.to_str(e)}")
     print(f"free variables: {', '.join(sorted(e.free_vars)) or '(none)'}")
-    if args.at:
-        point = {}
-        for binding in args.at.split(","):
-            name, _, val = binding.partition("=")
-            point[name.strip()] = float(val)
+    if point is not None:
         print(f"value: {ex.evaluate(e, point)!r}")
     return EXIT_PASS
 
@@ -361,7 +358,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if err.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except (ser.ConfigError, ex.ExprSyntaxError, ex.UnknownVariableError) as err:
+    except (ser.ConfigError, ex.ExprSyntaxError, ex.UnknownVariableError,
+            gr.NonDiagonalBlocks) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except gen.DegenerateRecipe as err:

@@ -10,6 +10,10 @@ Conventions (frozen by the convention tests in tests/test_geometry.py):
 * Anholonomy: [e_alpha, e_beta] = W^gamma_{alpha beta} e_gamma, and the
   h-h block is recorded as Omega^a_{ij} = e_i(N_j^a) - e_j(N_i^a)
   (so W^a_{ij} = -Omega^a_{ij}; torsion then satisfies T^a_{ij} = Omega^a_{ij}).
+* A connection is one immutable nested tuple Gamma[c][b][a] =
+  <e^c, D_{e_a} e_b> over global indices (h-directions 0..n-1, v-directions
+  n..n+m-1): canonical_dconnection and lc_decomposition return it, torsion
+  and curvature_ricci read it.
 * Ricci is contracted so that the round 2-sphere has positive Ricci; the
   mixed blocks R_{ia} and R_{ai} are kept separate (the canonical
   d-connection has a nonsymmetric Ricci tensor in general).
@@ -24,8 +28,8 @@ from . import expr as ex
 from .numerics import Grid, GridExclusionError, grid_report
 
 __all__ = [
-    "Chart", "NConnection", "DMetric", "Anholonomy", "DConnection",
-    "LCConnection", "DTorsion", "RicciD", "SingularMetric",
+    "Chart", "NConnection", "DMetric", "Anholonomy", "DTorsion", "RicciD",
+    "SingularMetric",
     "anholonomy", "canonical_dconnection", "lc_decomposition", "torsion",
     "curvature_ricci", "check_lc_compatibility", "coordinate_metric",
     "coordinate_metric_inverse", "coordinate_christoffels",
@@ -322,88 +326,40 @@ def full_anholonomy_table(chart: Chart, anh: Anholonomy) -> dict:
 # connections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DConnection:
-    """Canonical d-connection blocks L^i_jk, L^a_bk, C^i_jc, C^a_bc."""
-
-    l_h: tuple   # [i][j][k]
-    l_v: tuple   # [a][b][k]
-    c_h: tuple   # [i][j][c]
-    c_v: tuple   # [a][b][c]
-    chart: Chart
-
-    def full_table(self):
-        """Gamma[c][b][a] = <e^c, D_{e_a} e_b> over global indices; the mixed
-        blocks vanish because a d-connection preserves the splitting."""
-        n, m, d = self.chart.n, self.chart.m, self.chart.dim
-        G = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    G[i][j][k] = self.l_h[i][j][k]
-                for c in range(m):
-                    G[i][j][n + c] = self.c_h[i][j][c]
-        for a in range(m):
-            for b in range(m):
-                for k in range(n):
-                    G[n + a][n + b][k] = self.l_v[a][b][k]
-                for c in range(m):
-                    G[n + a][n + b][n + c] = self.c_v[a][b][c]
-        return G
-
-
-@dataclass(frozen=True)
-class LCConnection:
-    """Levi-Civita connection in the adapted frame: all eight blocks."""
-
-    l_hh: tuple   # |L^i_jk   [i][j][k]
-    l_vh: tuple   # |L^a_jk   [a][j][k]
-    l_hv: tuple   # |L^i_bk   [i][b][k]
-    l_vv: tuple   # |L^a_bk   [a][b][k]
-    c_hh: tuple   # |C^i_jb   [i][j][b]
-    c_vh: tuple   # |C^a_jb   [a][j][b]
-    c_hv: tuple   # |C^i_bc   [i][b][c]
-    c_vv: tuple   # |C^a_bc   [a][b][c]
-    chart: Chart
-
-    def full_table(self):
-        n, m, d = self.chart.n, self.chart.m, self.chart.dim
-        G = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    G[i][j][k] = self.l_hh[i][j][k]
-                for b in range(m):
-                    G[i][j][n + b] = self.c_hh[i][j][b]
-        for a in range(m):
-            for j in range(n):
-                for k in range(n):
-                    G[n + a][j][k] = self.l_vh[a][j][k]
-                for b in range(m):
-                    G[n + a][j][n + b] = self.c_vh[a][j][b]
-        for i in range(n):
-            for b in range(m):
-                for k in range(n):
-                    G[i][n + b][k] = self.l_hv[i][b][k]
-                for c in range(m):
-                    G[i][n + b][n + c] = self.c_hv[i][b][c]
-        for a in range(m):
-            for b in range(m):
-                for k in range(n):
-                    G[n + a][n + b][k] = self.l_vv[a][b][k]
-                for c in range(m):
-                    G[n + a][n + b][n + c] = self.c_vv[a][b][c]
-        return G
-
-
 def _freeze3(table) -> tuple:
     return tuple(tuple(tuple(row) for row in plane) for plane in table)
 
 
-def canonical_dconnection(g: DMetric, N: NConnection, chart: Chart) -> DConnection:
+def _christoffel(mat, inv, D, i, j, k) -> ex.Expr:
+    """(1/2) inv^{ir} (D_k mat_jr + D_j mat_kr - D_r mat_jk) of the metric
+    block ``mat`` with inverse ``inv``, for the derivative ``D(expr, index)``."""
+    acc = ZERO
+    for r in range(len(mat)):
+        if ex.is_zero(inv[i][r]):
+            continue
+        term = ex.add(D(mat[j][r], k), D(mat[k][r], j), ex.neg(D(mat[j][k], r)))
+        acc = ex.add(acc, ex.mul(inv[i][r], term))
+    return ex.mul(0.5, acc)
+
+
+def _v_transport(g: DMetric, N: NConnection, chart: Chart, k, b, c) -> ex.Expr:
+    """e_k(h_bc) - h_dc dN_k^d/dy^b - h_db dN_k^d/dy^c: the v-metric
+    transported along the h-direction k."""
+    t = elongated(chart, N, g.h[b][c], k)
+    for dd in range(chart.m):
+        t = ex.sub(t, ex.mul(g.h[dd][c], ex.diff(N.entry(k, dd), chart.y_names[b])))
+        t = ex.sub(t, ex.mul(g.h[dd][b], ex.diff(N.entry(k, dd), chart.y_names[c])))
+    return t
+
+
+def canonical_dconnection(g: DMetric, N: NConnection, chart: Chart) -> tuple:
     """The unique metric-compatible d-connection with vanishing h(hh)- and
-    v(vv)-torsion, built from [g_ij, h_ab, N_i^a]."""
-    n, m = chart.n, chart.m
+    v(vv)-torsion, built from [g_ij, h_ab, N_i^a], as the table
+    Gamma[c][b][a]. Its blocks are L^i_jk = Gamma[i][j][k], L^a_bk =
+    Gamma[n+a][n+b][k], C^i_jc = Gamma[i][j][n+c] and C^a_bc =
+    Gamma[n+a][n+b][n+c]; the mixed blocks vanish because a d-connection
+    preserves the splitting."""
+    n, m, d = chart.n, chart.m, chart.dim
     ginv = g.g_inv()
     hinv = g.h_inv()
 
@@ -413,36 +369,21 @@ def canonical_dconnection(g: DMetric, N: NConnection, chart: Chart) -> DConnecti
     def dy(expr, a):
         return ex.diff(expr, chart.y_names[a])
 
-    l_h = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    G = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                acc = ZERO
-                for r in range(n):
-                    if ex.is_zero(ginv[i][r]):
-                        continue
-                    term = ex.add(e(g.g[j][r], k), e(g.g[k][r], j),
-                                  ex.neg(e(g.g[j][k], r)))
-                    acc = ex.add(acc, ex.mul(ginv[i][r], term))
-                l_h[i][j][k] = ex.mul(0.5, acc)
-
-    l_v = [[[ZERO] * n for _ in range(m)] for _ in range(m)]
+                G[i][j][k] = _christoffel(g.g, ginv, e, i, j, k)
     for a in range(m):
         for b in range(m):
             for k in range(n):
-                acc = dy(N.entry(k, a), b)
                 inner = ZERO
                 for c in range(m):
                     if ex.is_zero(hinv[a][c]):
                         continue
-                    term = e(g.h[b][c], k)
-                    for dd in range(m):
-                        term = ex.sub(term, ex.mul(g.h[dd][c], dy(N.entry(k, dd), b)))
-                        term = ex.sub(term, ex.mul(g.h[dd][b], dy(N.entry(k, dd), c)))
-                    inner = ex.add(inner, ex.mul(hinv[a][c], term))
-                l_v[a][b][k] = ex.add(acc, ex.mul(0.5, inner))
-
-    c_h = [[[ZERO] * m for _ in range(n)] for _ in range(n)]
+                    inner = ex.add(inner, ex.mul(hinv[a][c],
+                                                 _v_transport(g, N, chart, k, b, c)))
+                G[n + a][n + b][k] = ex.add(dy(N.entry(k, a), b), ex.mul(0.5, inner))
     for i in range(n):
         for j in range(n):
             for c in range(m):
@@ -451,23 +392,12 @@ def canonical_dconnection(g: DMetric, N: NConnection, chart: Chart) -> DConnecti
                     if ex.is_zero(ginv[i][k]):
                         continue
                     acc = ex.add(acc, ex.mul(ginv[i][k], dy(g.g[j][k], c)))
-                c_h[i][j][c] = ex.mul(0.5, acc)
-
-    c_v = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+                G[i][j][n + c] = ex.mul(0.5, acc)
     for a in range(m):
         for b in range(m):
             for c in range(m):
-                acc = ZERO
-                for dd in range(m):
-                    if ex.is_zero(hinv[a][dd]):
-                        continue
-                    term = ex.add(dy(g.h[b][dd], c), dy(g.h[c][dd], b),
-                                  ex.neg(dy(g.h[b][c], dd)))
-                    acc = ex.add(acc, ex.mul(hinv[a][dd], term))
-                c_v[a][b][c] = ex.mul(0.5, acc)
-
-    return DConnection(_freeze3(l_h), _freeze3(l_v), _freeze3(c_h),
-                       _freeze3(c_v), chart)
+                G[n + a][n + b][n + c] = _christoffel(g.h, hinv, dy, a, b, c)
+    return _freeze3(G)
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +479,15 @@ def coordinate_christoffels(gcoord, ginv, chart: Chart):
     return out
 
 
-def lc_decomposition(g: DMetric, N: NConnection, chart: Chart) -> LCConnection:
-    """Levi-Civita connection written in the adapted frame.
+def lc_decomposition(g: DMetric, N: NConnection, chart: Chart) -> tuple:
+    """Levi-Civita connection written in the adapted frame, as the table
+    Gamma[c][b][a] with all eight blocks filled.
 
     Computed from the coordinate Christoffel symbols by the exact frame
     transform (the printed block formulas are recovered numerically and
     checked in the test suite; the transform itself is unambiguous).
     """
-    n, m, d = chart.n, chart.m, chart.dim
+    d = chart.dim
     names = chart.coord_names
     gcoord = coordinate_metric(g, N, chart)
     ginv = coordinate_metric_inverse(g, N, chart)
@@ -589,23 +520,7 @@ def lc_decomposition(g: DMetric, N: NConnection, chart: Chart) -> LCConnection:
                             continue
                         acc = ex.add(acc, ex.mul(Aa, Ag, inner))
                 G[c][b][a] = acc
-
-    def blk(rows_c, rows_b, rows_a):
-        return tuple(tuple(tuple(G[c][b][a] for a in rows_a) for b in rows_b)
-                     for c in rows_c)
-
-    h_idx = tuple(range(n))
-    v_idx = tuple(range(n, d))
-    return LCConnection(
-        l_hh=blk(h_idx, h_idx, h_idx),
-        l_vh=blk(v_idx, h_idx, h_idx),
-        l_hv=blk(h_idx, v_idx, h_idx),
-        l_vv=blk(v_idx, v_idx, h_idx),
-        c_hh=blk(h_idx, h_idx, v_idx),
-        c_vh=blk(v_idx, h_idx, v_idx),
-        c_hv=blk(h_idx, v_idx, v_idx),
-        c_vv=blk(v_idx, v_idx, v_idx),
-        chart=chart)
+    return _freeze3(G)
 
 
 # ---------------------------------------------------------------------------
@@ -629,19 +544,20 @@ class DTorsion:
                     yield from row
 
 
-def torsion(d: DConnection, N: NConnection, chart: Chart) -> DTorsion:
+def torsion(G: tuple, N: NConnection, chart: Chart) -> DTorsion:
+    """d-torsion of the canonical d-connection table G[c][b][a]."""
     n, m = chart.n, chart.m
     anh = anholonomy(chart, N)
-    t_hhh = tuple(tuple(tuple(ex.sub(d.l_h[i][j][k], d.l_h[i][k][j])
+    t_hhh = tuple(tuple(tuple(ex.sub(G[i][j][k], G[i][k][j])
                               for k in range(n)) for j in range(n)) for i in range(n))
-    t_hhv = tuple(tuple(tuple(d.c_h[i][j][a] for a in range(m))
+    t_hhv = tuple(tuple(tuple(G[i][j][n + a] for a in range(m))
                         for j in range(n)) for i in range(n))
     t_vhh = tuple(tuple(tuple(anh.omega[a][j][i] for i in range(n))
                         for j in range(n)) for a in range(m))
     t_vvh = tuple(tuple(tuple(
-        ex.sub(ex.diff(N.entry(i, a), chart.y_names[b]), d.l_v[a][b][i])
+        ex.sub(ex.diff(N.entry(i, a), chart.y_names[b]), G[n + a][n + b][i])
         for i in range(n)) for b in range(m)) for a in range(m))
-    t_vvv = tuple(tuple(tuple(ex.sub(d.c_v[a][b][c], d.c_v[a][c][b])
+    t_vvv = tuple(tuple(tuple(ex.sub(G[n + a][n + b][n + c], G[n + a][n + c][n + b])
                               for c in range(m)) for b in range(m)) for a in range(m))
     return DTorsion(t_hhh, t_hhv, t_vhh, t_vvh, t_vvv)
 
@@ -685,15 +601,14 @@ class RicciD:
                         for c in range(self.chart.m)))
 
 
-def curvature_ricci(conn, g: DMetric, N: NConnection, chart: Chart) -> RicciD:
-    """Ricci tensor of a DConnection or LCConnection in the adapted frame.
+def curvature_ricci(G: tuple, g: DMetric, N: NConnection, chart: Chart) -> RicciD:
+    """Ricci tensor of a connection table G[c][b][a] in the adapted frame.
 
     Componentwise curvature of the connection one-form including the frame
     commutation terms; contraction order and overall sign are pinned by the
     convention test against the 2D conformal closed form.
     """
     d = chart.dim
-    G = conn.full_table()
     anh = anholonomy(chart, N)
     W = full_anholonomy_table(chart, anh)
 
@@ -819,20 +734,11 @@ def check_lc_compatibility(g: DMetric, N: NConnection, chart: Chart, grid: Grid,
                    for a in range(m) for i in range(n) for j in range(n)]
     rep1 = grid_report("foliation(Omega)", omega_comps, cols, tol, extra)
 
-    conn = canonical_dconnection(g, N, chart)
-    chb = [conn.c_h[i][j][b] for i in range(n) for j in range(n) for b in range(m)]
+    G = canonical_dconnection(g, N, chart)
+    chb = [G[i][j][n + b] for i in range(n) for j in range(n) for b in range(m)]
     rep2 = grid_report("mixing(C^i_kb)", chb, cols, tol, extra)
 
-    comps = []
-    for k in range(n):
-        for b in range(m):
-            for c in range(m):
-                t = elongated(chart, N, g.h[b][c], k)
-                for dd in range(m):
-                    t = ex.sub(t, ex.mul(g.h[dd][c],
-                                         ex.diff(N.entry(k, dd), chart.y_names[b])))
-                    t = ex.sub(t, ex.mul(g.h[dd][b],
-                                         ex.diff(N.entry(k, dd), chart.y_names[c])))
-                comps.append(t)
+    comps = [_v_transport(g, N, chart, k, b, c)
+             for k in range(n) for b in range(m) for c in range(m)]
     rep3 = grid_report("v-metric transport", comps, cols, tol, extra)
     return [rep1, rep2, rep3]

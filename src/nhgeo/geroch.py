@@ -29,6 +29,7 @@ __all__ = [
     "KillingData", "GerochPotentials", "Polarizations", "FrameMatrices",
     "GerochStep", "DeformStep", "PotentialsNotVerified",
     "DegenerateDenominator", "SignatureMismatch", "ZeroPolarization",
+    "NonDiagonalBlocks",
     "coordinate_setup", "killing_residual", "geroch_residuals", "apply_geroch",
     "solve_vielbein",
     "nonholonomic_deform", "apply_chain", "superpose", "drop_trivial_x1",
@@ -50,6 +51,10 @@ class SignatureMismatch(ValueError):
 
 class ZeroPolarization(ValueError):
     pass
+
+
+class NonDiagonalBlocks(ValueError):
+    """A polarization deformation of a metric whose blocks are not diagonal."""
 
 
 @dataclass(frozen=True)
@@ -449,7 +454,7 @@ def nonholonomic_deform(check: GeneratedMetric,
     chart = check.chart
     n, m = chart.n, chart.m
     if not check.metric.is_block_diagonal():
-        raise ValueError("polarization deformations need diagonal blocks")
+        raise NonDiagonalBlocks("polarization deformations need diagonal blocks")
     if len(pol.eta_h) != n or len(pol.eta_v) != m or len(pol.eta_n) != n:
         raise ValueError("polarization shape does not match the chart")
     g = DMetric.diagonal(
@@ -484,7 +489,7 @@ def apply_chain(seed: GeneratedMetric, steps: Sequence, grid: Grid,
     ``setup`` is the seed's coordinate_setup, when the caller has built it."""
     current = seed
     reports = []
-    for step in steps:
+    for k, step in enumerate(steps):
         if isinstance(step, GerochStep):
             setup = setup or coordinate_setup(current)
             checks = geroch_residuals(current, step.xi, step.potentials, grid,
@@ -493,7 +498,10 @@ def apply_chain(seed: GeneratedMetric, steps: Sequence, grid: Grid,
             current = apply_geroch(current, step.xi, step.potentials, step.theta,
                                    checks=checks, grid=grid, setup=setup)
         elif isinstance(step, DeformStep):
-            current = nonholonomic_deform(current, step.polarizations)
+            try:
+                current = nonholonomic_deform(current, step.polarizations)
+            except NonDiagonalBlocks as err:
+                raise NonDiagonalBlocks(f"steps[{k}]: {err}") from None
         else:
             raise TypeError(f"unknown transform step {type(step).__name__}")
         setup = None  # it belonged to the metric before this step

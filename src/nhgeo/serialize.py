@@ -110,6 +110,13 @@ def _tolerance(d: Mapping, ctx: str, default: float, override=None) -> float:
     return tol
 
 
+def point_from_text(text: str) -> dict:
+    """The bindings of ``expr check --at`` ('v=1,x2=0.5'), each a finite number."""
+    pairs = {name.strip(): val
+             for name, _, val in (b.partition("=") for b in text.split(","))}
+    return {name: _field(pairs, name, _number, "--at") for name in pairs}
+
+
 def parse_expr(src, allowed, ctx: str) -> ex.Expr:
     if isinstance(src, (int, float)):
         return ex.const(src)
@@ -121,15 +128,17 @@ def parse_expr(src, allowed, ctx: str) -> ex.Expr:
         raise ConfigError(f"{ctx}: {err}") from None
 
 
+def _axis(d: Mapping, ctx: str) -> tuple:
+    """(min, max, count) of a grid axis or a chi range."""
+    return tuple(_field(d, key, kind, ctx) for key, kind in
+                 (("min", _number), ("max", _number), ("count", _count)))
+
+
 def grid_from_dict(d: Mapping) -> Grid:
     if not isinstance(d, Mapping) or not d:
         raise ConfigError("grid must map variable names to min/max/count")
-    spec = {}
-    for name, axis in d.items():
-        try:
-            spec[name] = (float(axis["min"]), float(axis["max"]), int(axis["count"]))
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"grid axis {name!r} needs min, max, count") from None
+    spec = {name: _axis(_field(d, name, Mapping, "grid"), f"grid axis {name!r}")
+            for name in d}
     try:
         return Grid.build(spec)
     except ValueError as err:
@@ -266,12 +275,14 @@ def chi_samples_from_dict(d: Mapping) -> tuple:
     spec = d.get("chi")
     if spec is None:
         return (0.0,)
-    try:
-        if isinstance(spec, list) and spec:
-            return tuple(map(_number, spec))
-        lo, hi, count = float(spec["min"]), float(spec["max"]), int(spec["count"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("chi needs min, max, count (or an explicit list)") from None
+    if not isinstance(spec, Mapping):
+        try:
+            if isinstance(spec, list) and spec:
+                return tuple(map(_number, spec))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ConfigError("chi needs min, max, count (or an explicit list)")
+    lo, hi, count = _axis(spec, "chi")
     if count < 1:
         raise ConfigError("chi count must be >= 1")
     if count == 1:

@@ -136,8 +136,7 @@ def test_criterion_3_torsion_vanishing_theorem():
                                    (grid.size,))
             worst_t = max(worst_t, float(np.max(np.abs(vals))))
         lc = geo.lc_decomposition(gm.metric, gm.nconn, gm.chart)
-        Gc, Gl = conn.full_table(), lc.full_table()
-        comps = [ex.sub(Gc[x][y][z], Gl[x][y][z])
+        comps = [ex.sub(conn[x][y][z], lc[x][y][z])
                  for x in range(4) for y in range(4) for z in range(4)]
         evald = [np.broadcast_to(np.asarray(v), (grid.size,))
                  for v in ex.evaluate_many(comps, cols)]

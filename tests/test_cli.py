@@ -1,7 +1,9 @@
 """Command-line pipelines: recipes in, metrics/CSV out, exit-code contract."""
 
 import contextlib
+import copy
 import csv
+import hashlib
 import io
 import json
 
@@ -309,6 +311,28 @@ class TestVerify:
         assert cli.main(["verify", "--config", vcfg,
                          "--out", str(tmp_path / "v.csv")]) == 1
 
+    # sha256 of the CSV below; a refactor that keeps the outputs keeps it
+    README_LC_CSV_SHA256 = (
+        "3dced965f00d4f1d278216555201dd9c64a3d4d6c39d8d448bf2234160ed24ae")
+
+    def test_readme_recipe_csv_bytes_pinned(self, tmp_path):
+        # the README recipe, generated and then verified with every check
+        # group on a 3^5 grid; the transport report fails by design (exit 1)
+        recipe = {**vacuum_recipe(),
+                  "grid": {n: {"min": 0.5, "max": 1.5, "count": 4}
+                           for n in ("x1", "x2", "x3", "v")}}
+        metric = str(tmp_path / "metric.json")
+        assert cli.main(["generate", "--config", write(tmp_path, "r.json", recipe),
+                         "--out", metric]) == 0
+        vcfg = write(tmp_path, "verify.json", {
+            "metric": metric, "tolerance": 1e-8,
+            "grid": {n: {"min": 0.5, "max": 1.5, "count": 3}
+                     for n in ("x1", "x2", "x3", "v", "y5")},
+            "checks": ["ricci", "oracles", "lc"]})
+        out = tmp_path / "v.csv"
+        assert cli.main(["verify", "--config", vcfg, "--out", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.README_LC_CSV_SHA256
+
     def test_ricci_built_once(self, tmp_path, monkeypatch):
         metric = self.make_metric(tmp_path)
         vcfg = write(tmp_path, "verify.json",
@@ -509,6 +533,24 @@ class TestGeroch:
         report = (tmp_path / "checks.csv").read_text().splitlines()
         assert report[1].startswith("killing,")
 
+    def test_deform_of_non_diagonal_blocks_exits_2(self, tmp_path, capsys):
+        doc = flat_seed_doc()
+        doc["h"][0][1] = "5"
+        cfg = write(tmp_path, "ger.json", {
+            "seed": doc, "xi": ["0.7", "0.2", "0", "0.4"],
+            "steps": [{"kind": "geroch", "theta": 0.0,
+                       "potentials": flat_potentials_doc()},
+                      {"kind": "deform",
+                       "polarizations": {"eta_h": ["2", "1"], "eta_v": ["1", "1"],
+                                         "eta_n": [["1", "1"], ["1", "1"]]}}],
+            "grid": GRID4, "tolerance": 1e-8})
+        out = tmp_path / "t.json"
+        assert cli.main(["geroch", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: steps[1]") and err.count("\n") == 1
+        assert "diagonal blocks" in err
+        assert not out.exists()
+
 
 class TestExpr:
     def test_check_action(self, capsys):
@@ -521,6 +563,14 @@ class TestExpr:
         assert cli.main(["expr", "check", "v^2", "--vars", "v",
                          "--at", "v=3"]) == 0
         assert "9.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("binding", ["v=abc", "v", "v=1e400"])
+    def test_malformed_binding_exits_2(self, capsys, binding):
+        assert cli.main(["expr", "check", "v^2", "--vars", "v",
+                         "--at", f"x2=1,{binding}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: 'v' in --at")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_syntax_error_exit_2(self):
         assert cli.main(["expr", "check", "v +", "--vars", "v"]) == 2
@@ -587,7 +637,7 @@ def run_with(tmp_path, command, path, value):
     """Exit code and stderr of ``command`` with its config's field at
     ``path`` (a tuple of keys and indices) set to ``value``; it writes no
     output."""
-    cfg = command_configs()[command]
+    cfg = copy.deepcopy(command_configs()[command])
     node = cfg
     for key in path[:-1]:
         node = node[key]
@@ -631,6 +681,11 @@ class TestMalformedFields:
         pytest.param("flow", ("lambda",), "zero", "'lambda' in flow recipe",
                      id="flow-lambda"),
         pytest.param("flow", ("chi",), ["a"], "chi needs", id="chi-list"),
+        pytest.param("flow", ("chi", "count"), 2.5, "'count' in chi", id="chi-count"),
+        pytest.param("generate", ("grid", "x1", "count"), 2.7,
+                     "'count' in grid axis 'x1'", id="grid-count"),
+        pytest.param("generate", ("grid", "x2", "max"), float("inf"),
+                     "'max' in grid axis 'x2'", id="grid-max-infinite"),
         pytest.param("geroch", ("theta",), "small", "'theta' in transform config",
                      id="theta"),
         pytest.param("geroch", ("steps",), {"kind": "geroch"},

@@ -106,11 +106,22 @@ class TestAnholonomy:
 class TestCanonicalConnection:
     def test_flat_constant_metric(self):
         conn = geo.canonical_dconnection(flat_metric(), geo.NConnection.zero(C5), C5)
-        for blk in (conn.l_h, conn.l_v, conn.c_h, conn.c_v):
-            for plane in blk:
-                for row in plane:
-                    for c in row:
-                        assert ex.is_zero(c)
+        for plane in conn:
+            for row in plane:
+                for c in row:
+                    assert ex.is_zero(c)
+
+    def test_one_immutable_table(self):
+        # Gamma[c][b][a] over global indices; a d-connection keeps the
+        # splitting, so its mixed blocks (c and b in different subspaces) vanish
+        _, _, conn, _ = generic_canonical()
+        assert isinstance(conn, tuple) and len(conn) == 5
+        assert all(isinstance(row, tuple) and len(row) == 5
+                   for plane in conn for row in plane)
+        for c in range(5):
+            for b in range(5):
+                if (c < 3) != (b < 3):
+                    assert all(ex.is_zero(x) for x in conn[c][b])
 
     def test_conformal_h_block(self):
         # g2 = g3 = e^psi: L^2_22 = psi_x2/2, L^2_33 = -psi_x2/2, L^2_23 = psi_x3/2
@@ -118,9 +129,9 @@ class TestCanonicalConnection:
         g = geo.DMetric.diagonal([1, ex.exp(psi), ex.exp(psi)], [1, 1])
         conn = geo.canonical_dconnection(g, geo.NConnection.zero(C5), C5)
         p = PTS[0]
-        assert ex.evaluate(conn.l_h[1][1][1], p) == pytest.approx(0.5)
-        assert ex.evaluate(conn.l_h[1][2][2], p) == pytest.approx(-0.5)
-        assert ex.evaluate(conn.l_h[1][1][2], p) == pytest.approx(1.0)
+        assert ex.evaluate(conn[1][1][1], p) == pytest.approx(0.5)
+        assert ex.evaluate(conn[1][2][2], p) == pytest.approx(-0.5)
+        assert ex.evaluate(conn[1][1][2], p) == pytest.approx(1.0)
 
     def test_v_block_coefficient(self):
         # h44 = h4(v): C^4_44 = h4* / (2 h4)
@@ -128,20 +139,19 @@ class TestCanonicalConnection:
         g = geo.DMetric.diagonal([1, 1, 1], [h4, 1])
         conn = geo.canonical_dconnection(g, geo.NConnection.zero(C5), C5)
         expected = ex.div(ex.diff(h4, "v"), ex.mul(2, h4))
-        assert max_abs_at(ex.sub(conn.c_v[0][0][0], expected), PTS) < 1e-15
+        assert max_abs_at(ex.sub(conn[3][3][3], expected), PTS) < 1e-15
 
     def test_h_symmetry(self):
         g, N, conn, _ = generic_canonical()
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    d = ex.sub(conn.l_h[i][j][k], conn.l_h[i][k][j])
+                    d = ex.sub(conn[i][j][k], conn[i][k][j])
                     assert max_abs_at(d, PTS[:4]) < 1e-13
 
     def test_metric_compatibility(self):
         # numerically D g = 0 for the canonical connection on generic data
-        g, N, conn, _ = generic_canonical()
-        G = conn.full_table()
+        g, N, G, _ = generic_canonical()
         gfull = [[ex.ZERO] * 5 for _ in range(5)]
         for i in range(3):
             for j in range(3):
@@ -165,24 +175,23 @@ class TestCanonicalConnection:
 class TestLCDecomposition:
     def test_vanishes_for_block_constant(self):
         lc = geo.lc_decomposition(flat_metric(), geo.NConnection.zero(C5), C5)
-        for blk in (lc.l_hh, lc.l_vh, lc.l_hv, lc.l_vv,
-                    lc.c_hh, lc.c_vh, lc.c_hv, lc.c_vv):
-            for plane in blk:
-                for row in plane:
-                    for c in row:
-                        assert max_abs_at(c, PTS[:2]) < 1e-15
+        for plane in lc:
+            for row in plane:
+                for c in row:
+                    assert max_abs_at(c, PTS[:2]) < 1e-15
 
     def test_h_block_coincides_with_canonical(self):
         g, N, conn, _ = generic_canonical()
         lc = generic_lc()
-        worst = max(max_abs_at(ex.sub(lc.l_hh[i][j][k], conn.l_h[i][j][k]), PTS[:4])
+        worst = max(max_abs_at(ex.sub(lc[i][j][k], conn[i][j][k]), PTS[:4])
                     for i in range(3) for j in range(3) for k in range(3))
         assert worst < 1e-12
 
     def test_v_block_coincides_with_canonical(self):
         g, N, conn, _ = generic_canonical()
         lc = generic_lc()
-        worst = max(max_abs_at(ex.sub(lc.c_vv[a][b][c], conn.c_v[a][b][c]), PTS[:4])
+        worst = max(max_abs_at(ex.sub(lc[3 + a][3 + b][3 + c],
+                                      conn[3 + a][3 + b][3 + c]), PTS[:4])
                     for a in range(2) for b in range(2) for c in range(2))
         assert worst < 1e-12
 
@@ -247,7 +256,7 @@ class TestTorsion:
         g = flat_metric()
         conn = geo.canonical_dconnection(g, N, C5)
         tor = geo.torsion(conn, N, C5)
-        expected = ex.sub(1, conn.l_v[0][0][1])
+        expected = ex.sub(1, conn[3][3][1])
         assert max_abs_at(ex.sub(tor.t_vvh[0][0][1], expected), PTS[:4]) < 1e-15
 
 
@@ -430,9 +439,7 @@ class TestLCCompatibility:
         tor = geo.torsion(conn, N0, C5)
         assert all(max_abs_at(c, PTS[:3]) < 1e-12 for c in tor.all_components())
         lc = geo.lc_decomposition(g, N0, C5)
-        Gc = conn.full_table()
-        Gl = lc.full_table()
-        comps = [ex.sub(Gc[a][b][c], Gl[a][b][c])
+        comps = [ex.sub(conn[a][b][c], lc[a][b][c])
                  for a in range(5) for b in range(5) for c in range(5)]
         worst = max(abs(v) for p in PTS[:3] for v in ex.evaluate_many(comps, p))
         assert worst < 1e-12
