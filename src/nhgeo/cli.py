@@ -35,15 +35,15 @@ CSV_COLUMNS = ("x1", "x2", "x3", "v", "y5", "chi")
 
 
 def _write_csv(path: str, reports) -> None:
-    """Header, then the lines of each report; consecutive reports on the
-    same column mapping share one formatting of the coordinate text."""
+    """Header, then the text of each report in one write; consecutive reports
+    on the same column mapping share one formatting of the coordinate text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["equation", *CSV_COLUMNS, "residual"])
         prev = coords = None
         for rep in reports:
             if prev is None or rep.cols is not prev.cols:
                 coords = rep.coordinate_text(CSV_COLUMNS)
-            fh.writelines(rep.csv_rows(CSV_COLUMNS, coords))
+            fh.write(rep.csv_rows(CSV_COLUMNS, coords))
             prev = rep
 
 
@@ -154,8 +154,8 @@ def verification_reports(gm, source, grid, tol, seed=0,
     ``params`` binds declared parameter names (theta components, chi) to
     values for the grid-based groups; the oracle group samples them."""
     reports = []
+    conn = canonical_dconnection(gm.metric, gm.nconn, gm.chart)
     if "ricci" in checks or "oracles" in checks:
-        conn = canonical_dconnection(gm.metric, gm.nconn, gm.chart)
         ric = curvature_ricci(conn, gm.metric, gm.nconn, gm.chart)
     if "ricci" in checks:
         reports += _ricci_layout_reports(gm, ric, source, grid, tol, params)
@@ -163,7 +163,7 @@ def verification_reports(gm, source, grid, tol, seed=0,
         rng = np.random.default_rng(seed)
         reports += _oracle_reports(gm, ric, grid, oracle_tol, rng, oracle_points)
     if "lc" in checks:
-        reports += check_lc_compatibility(gm.metric, gm.nconn, gm.chart,
+        reports += check_lc_compatibility(conn, gm.metric, gm.nconn, gm.chart,
                                           grid, tol, extra=params)
     return reports
 

@@ -719,13 +719,14 @@ def adapted_from_coordinate(table, chart: Chart, N: NConnection) -> tuple:
 # compatibility checks
 # ---------------------------------------------------------------------------
 
-def check_lc_compatibility(g: DMetric, N: NConnection, chart: Chart, grid: Grid,
+def check_lc_compatibility(G, g: DMetric, N: NConnection, chart: Chart, grid: Grid,
                            tol: float = 1e-12, extra=None) -> list:
     """Three residual reports whose joint passing certifies that the canonical
-    d-connection and the Levi-Civita connection share their coefficients (and
-    the induced torsion vanishes): the frame distribution integrates to a
-    foliation, the canonical C^i_jb block vanishes, and the v-metric is
-    covariantly constant along the mixing directions."""
+    d-connection ``G`` (the table of ``canonical_dconnection(g, N, chart)``)
+    and the Levi-Civita connection share their coefficients (and the induced
+    torsion vanishes): the frame distribution integrates to a foliation, the
+    canonical C^i_jb block vanishes, and the v-metric is covariantly constant
+    along the mixing directions."""
     n, m = chart.n, chart.m
     anh = anholonomy(chart, N)
     cols = grid.arrays()
@@ -734,7 +735,6 @@ def check_lc_compatibility(g: DMetric, N: NConnection, chart: Chart, grid: Grid,
                    for a in range(m) for i in range(n) for j in range(n)]
     rep1 = grid_report("foliation(Omega)", omega_comps, cols, tol, extra)
 
-    G = canonical_dconnection(g, N, chart)
     chb = [G[i][j][n + b] for i in range(n) for j in range(n) for b in range(m)]
     rep2 = grid_report("mixing(C^i_kb)", chb, cols, tol, extra)
 

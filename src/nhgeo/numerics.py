@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -281,33 +280,40 @@ class ResidualReport:
         }
 
     def csv_rows(self, all_columns: Sequence[str],
-                 coords: Sequence[str] | None = None) -> list:
-        """One encoded CSV line per row under a fixed column layout; absent
-        coordinates are blank.
+                 coords: Sequence[str] | None = None) -> str:
+        """The report's CSV text under a fixed column layout, one line per
+        row ("" without rows); absent coordinates are blank.
 
         Lines end in CRLF, the label is quoted by the ``csv`` module's rules
         and floats are ``repr`` text. Columns are formatted whole: each
         distinct float64 bit pattern is formatted once (so -0.0 and 0.0 keep
-        their own text) and looked up for every row. ``coords`` is this
-        report's ``coordinate_text(all_columns)`` when the caller already has
-        it from a report on the same columns.
+        their own text) and looked up for every row, and the text is put
+        together by one join over label, coordinate and residual pieces.
+        ``coords`` is this report's ``coordinate_text(all_columns)`` when the
+        caller already has it from a report on the same columns.
         """
-        if not self.residuals.size:
-            return []
         if coords is None:
             coords = self.coordinate_text(all_columns)
-        label = itertools.repeat(_csv_field(self.equation) + ",")
-        residuals = _float_texts(self.residuals, "\r\n")
-        return list(map("".join, zip(label, coords, residuals)))
+        pieces = [_csv_field(self.equation) + ","] * (3 * self.residuals.size)
+        pieces[1::3] = coords
+        pieces[2::3] = _float_texts(self.residuals, "\r\n")
+        return "".join(pieces)
 
     def coordinate_text(self, all_columns: Sequence[str]) -> list:
-        """The coordinate fields of every row under ``all_columns``, each
-        followed by a comma."""
-        n = self.residuals.size
-        fields = [_float_texts(self.column(c)) if c in self.cols
-                  else itertools.repeat("", n) for c in all_columns]
-        fields.append(itertools.repeat("", n))
-        return list(map(",".join, zip(*fields)))
+        """The coordinate fields of every row under ``all_columns``, one
+        string per row, each field followed by a comma.
+
+        The fields of all rows are laid out in one list, row after row, then
+        joined once and split at a row separator that no float text holds."""
+        n, width = self.residuals.size, len(all_columns) + 1
+        pieces = [","] * (width * n)
+        for k, c in enumerate(all_columns):
+            if c in self.cols:
+                pieces[k::width] = _float_texts(self.column(c), ",")
+        pieces[width - 1::width] = ["\n"] * n
+        rows = "".join(pieces).split("\n")
+        rows.pop()
+        return rows
 
 
 def _csv_field(text: str) -> str:
@@ -318,7 +324,7 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def _float_texts(col: np.ndarray, suffix: str = "") -> list:
+def _float_texts(col: np.ndarray, suffix: str) -> list:
     """``repr(v) + suffix`` for every value of a float column."""
     col = np.ascontiguousarray(col, dtype=np.float64)
     _, first, inverse = np.unique(col.view(np.uint64), return_index=True,

@@ -111,10 +111,18 @@ def _tolerance(d: Mapping, ctx: str, default: float, override=None) -> float:
 
 
 def point_from_text(text: str) -> dict:
-    """The bindings of ``expr check --at`` ('v=1,x2=0.5'), each a finite number."""
-    pairs = {name.strip(): val
-             for name, _, val in (b.partition("=") for b in text.split(","))}
-    return {name: _field(pairs, name, _number, "--at") for name in pairs}
+    """The bindings of ``expr check --at`` ('v=1,x2=0.5'): distinct non-empty
+    names, each bound to a finite number."""
+    point = {}
+    for binding in text.split(","):
+        name, _, val = binding.partition("=")
+        name = name.strip()
+        if not name:
+            raise ConfigError(f"--at binding {binding!r} binds no name")
+        if name in point:
+            raise ConfigError(f"--at binding {binding!r} binds {name!r} again")
+        point[name] = _field({name: val}, name, _number, "--at")
+    return point
 
 
 def parse_expr(src, allowed, ctx: str) -> ex.Expr:

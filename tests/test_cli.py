@@ -6,6 +6,9 @@ import csv
 import hashlib
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from nhgeo import cli
 from nhgeo import expr as ex
+from nhgeo import geometry as geo
 from nhgeo import geroch as gr
 from nhgeo import serialize as ser
 from nhgeo.numerics import ResidualReport
@@ -350,6 +354,26 @@ class TestVerify:
                          "--out", str(tmp_path / "v.csv")]) == 0
         assert len(calls) == 1
 
+    def test_canonical_connection_built_once(self, tmp_path, monkeypatch):
+        # the lc group reads its C^i_jb block from the table the Ricci
+        # groups use, in the cli and in geometry alike
+        metric = self.make_metric(tmp_path)
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": metric, "grid": GRID5Y, "tolerance": 1e-8,
+                      "checks": ["ricci", "oracles", "lc"]})
+        calls = []
+        build = geo.canonical_dconnection
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "canonical_dconnection", counted)
+        monkeypatch.setattr(geo, "canonical_dconnection", counted)
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "v.csv")]) == 1
+        assert len(calls) == 1
+
     def test_reports_start_no_thread(self, tmp_path, monkeypatch):
         import concurrent.futures
 
@@ -571,6 +595,15 @@ class TestExpr:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: 'v' in --at")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("at, message", [
+        ("v=1,v=2", "config error: --at binding 'v=2' binds 'v' again"),
+        ("=1", "config error: --at binding '=1' binds no name"),
+        ("v=1, =2", "config error: --at binding ' =2' binds no name")])
+    def test_repeated_or_empty_name_exits_2(self, capsys, at, message):
+        assert cli.main(["expr", "check", "v^2", "--vars", "v", "--at", at]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
 
     def test_syntax_error_exit_2(self):
         assert cli.main(["expr", "check", "v +", "--vars", "v"]) == 2
@@ -859,6 +892,36 @@ def reference_csv(path, reports):
                     + [repr(float(rep.residuals[k]))])
 
 
+# float columns with the values whose text is easy to get wrong
+CSV_FLOATS = st.one_of(
+    st.sampled_from((-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16)),
+    st.floats())
+# labels that need quoting: a comma, a double quote, CR and LF
+CSV_LABELS = st.text(st.one_of(st.sampled_from(',"\r\n'),
+                               st.characters(min_codepoint=32, max_codepoint=0x17F)),
+                     max_size=6)
+
+
+@st.composite
+def report_runs(draw):
+    """Up to four reports on random subsets of the CSV columns (arrays or
+    scalars), some with no rows, some sharing the previous report's mapping."""
+    reports = []
+    for _ in range(draw(st.integers(0, 4))):
+        if reports and draw(st.booleans()):
+            cols, n = reports[-1].cols, reports[-1].residuals.size
+        else:
+            n = draw(st.integers(0, 12))
+            column = st.lists(CSV_FLOATS, min_size=n, max_size=n).map(np.array)
+            cols = {c: draw(st.one_of(column, CSV_FLOATS)) for c in
+                    draw(st.lists(st.sampled_from(cli.CSV_COLUMNS), unique=True))}
+        residuals = draw(st.lists(CSV_FLOATS, min_size=n, max_size=n))
+        reports.append(ResidualReport.from_grid(draw(CSV_LABELS), cols,
+                                                np.array(residuals, dtype=float),
+                                                1e-8))
+    return reports
+
+
 class TestCsvWriter:
     """_write_csv is byte-identical to the row-by-row reference writer."""
 
@@ -892,7 +955,16 @@ class TestCsvWriter:
         assert '\r\n"a,""quoted"" label",,' in got
         assert "\r\nno-coords,,,,,,,nan\r\n" in got
         assert "empty" not in got
-        assert len(reports[0].csv_rows(cli.CSV_COLUMNS)) == 200
+        text = reports[0].csv_rows(cli.CSV_COLUMNS)
+        assert text.count("\r\n") == 200 and text.endswith("\r\n")
+        assert got.split("\r\n", 1)[1].startswith(text)
+        assert reports[2].csv_rows(cli.CSV_COLUMNS) == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(report_runs())
+    def test_drawn_reports_match_reference(self, reports):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_matches_reference(Path(tmp), reports)
 
     def test_shared_coordinate_text_keeps_signed_zeros(self, tmp_path, monkeypatch):
         v = {"v": np.array([0.0, 1.0, 2.0])}

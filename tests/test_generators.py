@@ -249,8 +249,9 @@ class TestVacuumLC:
                                     b0=ex.ZERO, n2=ex.ZERO, n3=ex.ZERO)
         gm, reports = gen.generate_vacuum_lc(recipe, GRID4)
         assert all(r.passed for r in reports)
-        lc_reports = geo.check_lc_compatibility(gm.metric, gm.nconn, gm.chart,
-                                                GRID4, tol=1e-12)
+        conn = geo.canonical_dconnection(gm.metric, gm.nconn, gm.chart)
+        lc_reports = geo.check_lc_compatibility(conn, gm.metric, gm.nconn,
+                                                gm.chart, GRID4, tol=1e-12)
         assert all(r.passed for r in lc_reports)
         lc = geo.lc_decomposition(gm.metric, gm.nconn, gm.chart)
         ric = geo.curvature_ricci(lc, gm.metric, gm.nconn, gm.chart)

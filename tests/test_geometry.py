@@ -417,13 +417,15 @@ class TestLCCompatibility:
     def test_trivial_structure_passes(self):
         g = geo.DMetric.diagonal([1, ex.exp(X2), 1], [ex.add(1, V ** 2), 1])
         N0 = geo.NConnection.zero(C5)
-        reports = geo.check_lc_compatibility(g, N0, C5, self.grid(), tol=1e-12)
+        reports = geo.check_lc_compatibility(geo.canonical_dconnection(g, N0, C5),
+                                             g, N0, C5, self.grid(), tol=1e-12)
         assert all(r.passed for r in reports)
 
     def test_nonintegrable_n_fails_first_report(self):
         g = flat_metric()
         N = geo.NConnection.build([[0, 0], [X3, 0], [0, 0]])
-        reports = geo.check_lc_compatibility(g, N, C5, self.grid(), tol=1e-12)
+        reports = geo.check_lc_compatibility(geo.canonical_dconnection(g, N, C5),
+                                             g, N, C5, self.grid(), tol=1e-12)
         assert not reports[0].passed
         assert reports[0].max_abs == pytest.approx(1.0)
 
@@ -433,9 +435,9 @@ class TestLCCompatibility:
         # canonical and LC coefficient tables agreeing componentwise
         g = geo.DMetric.diagonal([1, ex.exp(X2), 1], [ex.add(1, V ** 2), V ** 2])
         N0 = geo.NConnection.zero(C5)
-        reports = geo.check_lc_compatibility(g, N0, C5, self.grid(), tol=1e-12)
-        assert all(r.passed for r in reports)
         conn = geo.canonical_dconnection(g, N0, C5)
+        reports = geo.check_lc_compatibility(conn, g, N0, C5, self.grid(), tol=1e-12)
+        assert all(r.passed for r in reports)
         tor = geo.torsion(conn, N0, C5)
         assert all(max_abs_at(c, PTS[:3]) < 1e-12 for c in tor.all_components())
         lc = geo.lc_decomposition(g, N0, C5)

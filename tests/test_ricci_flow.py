@@ -134,10 +134,10 @@ class TestBuildLCFlow:
                                  lam=0.0)
         fam, reports = rf.build_lc_flow(recipe, GRID4, CHIS)
         assert all(r.passed for r in reports)
-        lc_reports = geo.check_lc_compatibility(fam.metric.metric,
-                                                fam.metric.nconn,
-                                                fam.metric.chart, GRID4,
-                                                tol=1e-10,
+        gm = fam.metric
+        conn = geo.canonical_dconnection(gm.metric, gm.nconn, gm.chart)
+        lc_reports = geo.check_lc_compatibility(conn, gm.metric, gm.nconn,
+                                                gm.chart, GRID4, tol=1e-10,
                                                 extra={"chi": 0.5})
         assert all(r.passed for r in lc_reports)
         flow_reports = rf.flow_residuals(fam, GRID4, tol=1e-8)
