@@ -36,12 +36,14 @@ CSV_COLUMNS = ("x1", "x2", "x3", "v", "y5", "chi")
 
 def _write_csv(path: str, reports) -> None:
     """Header, then the text of each report in one write; consecutive reports
-    on the same column mapping share one formatting of the coordinate text."""
+    on the same column mapping and row count share one formatting of the
+    coordinate text (reports on a grid share their grid's)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["equation", *CSV_COLUMNS, "residual"])
         prev = coords = None
         for rep in reports:
-            if prev is None or rep.cols is not prev.cols:
+            if (prev is None or rep.cols is not prev.cols
+                    or rep.residuals.size != prev.residuals.size):
                 coords = rep.coordinate_text(CSV_COLUMNS)
             fh.write(rep.csv_rows(CSV_COLUMNS, coords))
             prev = rep
@@ -101,8 +103,7 @@ def _ricci_layout_reports(gm, ric, source, grid, tol, params=None):
                ("R4i", [ric.ah(0, i) for i in range(n)]),
                ("R5i", [ric.ah(1, i) for i in range(n)]),
                ("ricci-rest", rest)]
-    cols = grid.arrays()
-    return [grid_report(label, exprs, cols, tol, extra=params)
+    return [grid_report(label, exprs, grid, tol, extra=params)
             for label, exprs in groups]
 
 
@@ -192,9 +193,9 @@ def cmd_generate(args) -> int:
         # entries holding running integrals, each of which costs an adaptive
         # quadrature per distinct (v, x...) grid tuple
         bound = {*grid.names, *params}
-        evaluate_on_grid([e for _, e in _metric_entries(gm)
-                          if e.free_vars <= bound and not ex.has_integral(e)],
-                         grid.arrays(), extra=params)
+        grid.evaluate([e for _, e in _metric_entries(gm)
+                       if e.free_vars <= bound and not ex.has_integral(e)],
+                      extra=params)
     except ex.EvalError as err:
         entries = [*entries, *(_metric_entries(gm) if gm else [])]
         return _eval_error(_locate_eval_error(entries, err))

@@ -28,7 +28,7 @@ import numpy as np
 from . import expr as ex
 from .geometry import (Chart, DMetric, NConnection, SingularMetric, chart_4d,
                        chart_5d, coordinate_metric)
-from .numerics import Grid, GridExclusionError, evaluate_on_grid, grid_report
+from .numerics import Grid, GridExclusionError, grid_report
 
 __all__ = [
     "DegenerateRecipe", "PhiConstant", "Source", "SolutionRecipe5D",
@@ -302,7 +302,7 @@ def _phi_mixing(phi: ex.Expr, grid: Grid, extra=None):
     phistar = _dv(phi)
     if ex.is_zero(phistar):
         return None
-    vals = evaluate_on_grid(phistar, grid.arrays(), extra=extra)
+    vals, _ = grid.evaluate(phistar, extra)
     if np.max(np.abs(vals)) < 1e-12:
         return None
     return ex.div(_d2(phi), phistar), ex.div(_d3(phi), phistar)
@@ -451,8 +451,7 @@ def generate_vacuum_lc(recipe: VacuumLCRecipe, grid: Grid, tol: float = 1e-10,
                        _conformal(recipe.signatures, recipe.psi), h4, h5, w, n,
                        provenance={"family": "vacuum_lc"}, excluded=(bstar,),
                        grid=grid, extra=extra)
-    cols = grid.arrays()
-    reports = [grid_report(label, lines[key], cols, tol, extra) for label, key in (
+    reports = [grid_report(label, lines[key], grid, tol, extra) for label, key in (
         ("psi-harmonic", "psi-equation"), ("w-compat", "w-compat"),
         ("n-curl", "n-curl"))]
     return metric, reports
@@ -485,6 +484,5 @@ def generate_sourced_lc(recipe: SourcedLCRecipe, grid: Grid, tol: float = 1e-10,
                        _conformal(recipe.signatures, recipe.psi), h4, h5, w, n,
                        provenance={"family": "sourced_lc"},
                        excluded=(h4, h5, _dv(h5)), grid=grid, extra=extra)
-    cols = grid.arrays()
-    return metric, [grid_report(label, exprs, cols, tol, extra)
+    return metric, [grid_report(label, exprs, grid, tol, extra)
                     for label, exprs in lines.items()]

@@ -729,16 +729,15 @@ def check_lc_compatibility(G, g: DMetric, N: NConnection, chart: Chart, grid: Gr
     along the mixing directions."""
     n, m = chart.n, chart.m
     anh = anholonomy(chart, N)
-    cols = grid.arrays()
 
     omega_comps = [anh.omega[a][i][j]
                    for a in range(m) for i in range(n) for j in range(n)]
-    rep1 = grid_report("foliation(Omega)", omega_comps, cols, tol, extra)
+    rep1 = grid_report("foliation(Omega)", omega_comps, grid, tol, extra)
 
     chb = [G[i][j][n + b] for i in range(n) for j in range(n) for b in range(m)]
-    rep2 = grid_report("mixing(C^i_kb)", chb, cols, tol, extra)
+    rep2 = grid_report("mixing(C^i_kb)", chb, grid, tol, extra)
 
     comps = [_v_transport(g, N, chart, k, b, c)
              for k in range(n) for b in range(m) for c in range(m)]
-    rep3 = grid_report("v-metric transport", comps, cols, tol, extra)
+    rep3 = grid_report("v-metric transport", comps, grid, tol, extra)
     return [rep1, rep2, rep3]

@@ -191,7 +191,7 @@ def killing_residual(gm: GeneratedMetric, xi: KillingData, grid: Grid,
     nx = _nabla_covector(xi.xi, christ, chart)
     comps = [ex.add(nx[a][b], nx[b][a])
              for a in range(d) for b in range(a, d)]
-    return grid_report("killing", comps, grid.arrays(), tol)
+    return grid_report("killing", comps, grid, tol)
 
 
 def geroch_residuals(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials,
@@ -258,8 +258,7 @@ def geroch_residuals(gm: GeneratedMetric, xi: KillingData, pot: GerochPotentials
         ex.add(*(ex.mul(xi_up[a], pot.mu[a]) for a in range(d))),
         ex.add(ex.pow_(lam_g, 2), ex.pow_(pot.omega, 2), -1))
 
-    cols = grid.arrays()
-    return [grid_report(label, exprs, cols, tol) for label, exprs in (
+    return [grid_report(label, exprs, grid, tol) for label, exprs in (
         ("twist-gradient", eq1),
         ("alpha-curl", eq2),
         ("mu-curl", eq3),

@@ -5,9 +5,15 @@ coordinate v; everything here is plain adaptive Simpson with a Richardson
 error estimate. Residual checks over grids are collected in ResidualReport
 objects, the toolkit's universal notion of "this metric solves equation X
 to tolerance tau". evaluate_on_grid is the one array evaluator, and names the
-grid point of an evaluation error. grid_report is the only path from
-expressions to a max-abs ResidualReport; it evaluates a report's expressions
-as one program (expr.Program) on the calling thread.
+grid point of an evaluation error. Grid.evaluate runs it on the sub-grid of
+the axes the expressions read (generated metrics never depend on y5, and most
+reports read one or two axes) and names the point of the full grid.
+grid_report is the only path from expressions to a max-abs ResidualReport; it
+evaluates a report's expressions as one program (expr.Program) on the calling
+thread on that sub-grid and repeats the values over the unread axes. The CSV
+text of a report on a grid is built from the axis values: one coordinate text
+per grid and column layout, and residual text formatted at the sub-grid
+points.
 """
 
 from __future__ import annotations
@@ -150,6 +156,12 @@ class Grid:
     def size(self) -> int:
         return math.prod(self.shape)
 
+    @functools.cached_property
+    def _nest(self) -> tuple:
+        """(name, values) of every axis, outermost first: the points are
+        their product in C order."""
+        return tuple((name, np.linspace(lo, hi, n)) for name, lo, hi, n in self.axes)
+
     def arrays(self) -> Mapping[str, np.ndarray]:
         """Flattened meshgrid columns, deterministic C order; built once per
         grid, read-only."""
@@ -157,11 +169,28 @@ class Grid:
 
     @functools.cached_property
     def _arrays(self) -> Mapping[str, np.ndarray]:
-        grids = np.meshgrid(*(np.linspace(lo, hi, n) for _, lo, hi, n in self.axes),
-                            indexing="ij")
-        for g in grids:
-            g.flags.writeable = False
-        return MappingProxyType({n: g.reshape(-1) for n, g in zip(self.names, grids)})
+        grids = np.meshgrid(*(vals for _, vals in self._nest), indexing="ij")
+        cols = {name: g.reshape(-1) for (name, _), g in zip(self._nest, grids)}
+        for c in cols.values():
+            c.flags.writeable = False
+        return MappingProxyType({n: cols[n] for n in self.names})
+
+    def _sub(self, reads: frozenset) -> tuple:
+        """The columns of the axes in ``reads`` at the points of their
+        sub-grid (C order), and this grid's shape with 1 for every axis
+        outside ``reads``; built once per set of names."""
+        sub = self._subgrids.get(reads)
+        if sub is None:
+            shape = tuple(len(vals) if name in reads else 1 for name, vals in self._nest)
+            at = tuple(map(slice, shape))
+            cols = {n: c.reshape(self.shape)[at].reshape(-1)
+                    for n, c in self.arrays().items() if n in reads}
+            sub = self._subgrids[reads] = cols, shape
+        return sub
+
+    @functools.cached_property
+    def _subgrids(self) -> dict:
+        return {}
 
     def sampled(self, name: str, samples: Sequence[float]) -> "SampledGrid":
         """This grid once per sample of ``name``; one SampledGrid, so one set
@@ -174,25 +203,106 @@ class Grid:
     def _sampled(self) -> dict:
         return {}
 
+    def evaluate(self, e: ex.Expr | Sequence[ex.Expr],
+                 extra: Mapping[str, float] | None = None) -> tuple:
+        """``(values, reads)``: ``evaluate_on_grid`` of ``e`` on the sub-grid
+        of the axes ``reads`` that ``e`` reads, one point per combination of
+        their values in this grid's C order (one point when it reads none).
+
+        An ``ex.EvalError`` leaves with the row and the point of this grid:
+        the first row with the failing values of the read axes."""
+        exprs = [e] if isinstance(e, ex.Expr) else e
+        reads = frozenset(self.names).intersection(
+            frozenset().union(*(x.free_vars for x in exprs)))
+        try:
+            return evaluate_on_grid(e, self._sub(reads)[0], extra=extra), reads
+        except ex.EvalError as err:
+            err.row, err.point = self._point(reads, err.row, extra)
+            raise
+
+    def _point(self, reads, sub_row, extra):
+        """The first row of this grid (C order) at the point ``sub_row`` of
+        the sub-grid of ``reads``, unread axes at their first value, and its
+        point: the grid columns, then the ``extra`` bindings."""
+        at = np.unravel_index(sub_row, self._sub(reads)[1])
+        row = int(np.ravel_multi_index(at, self.shape))
+        point = {n: float(c[row]) for n, c in self.arrays().items()}
+        point.update((k, float(v)) for k, v in (extra or {}).items())
+        return row, point
+
+    def expand(self, values: np.ndarray, reads: frozenset) -> np.ndarray:
+        """Sub-grid values of ``reads`` at every point of this grid, C order."""
+        out = np.empty(self.shape, dtype=values.dtype)
+        out[...] = values.reshape(self._sub(reads)[1])
+        return out.reshape(-1)
+
+    def collapse(self, values: np.ndarray, reads: frozenset) -> np.ndarray:
+        """The inverse of ``expand``: values at every point of this grid that
+        vary along ``reads`` only, at the points of the sub-grid."""
+        at = tuple(map(slice, self._sub(reads)[1]))
+        return values.reshape(self.shape)[at].reshape(-1)
+
     def check_exclusions(self, exprs: Iterable[ex.Expr], min_abs: float = 1e-9,
                          extra: Mapping[str, float] | None = None) -> None:
         """Raise if any grid point lies within min_abs of an excluded locus
         (an expression whose zero set must be avoided), one locus at a time;
         the point gives the grid columns, then the ``extra`` bindings."""
-        cols = self.arrays()
         for e in exprs:
-            bad = np.abs(evaluate_on_grid(e, cols, extra=extra)) < min_abs
+            vals, reads = self.evaluate(e, extra)
+            bad = np.abs(vals) < min_abs
             if np.any(bad):
-                idx = int(np.argmax(bad))
-                point = {n: float(c[idx]) for n, c in cols.items()}
-                point.update((k, float(v)) for k, v in (extra or {}).items())
+                _, point = self._point(reads, int(np.argmax(bad)), extra)
                 raise GridExclusionError(e, point)
+
+    def coordinate_text(self, columns: Sequence[str]) -> list:
+        """The coordinate fields of every point under the column layout
+        ``columns``, one string per point, each field followed by a comma
+        (blank for a column that is not an axis); built once per layout.
+
+        Each axis value is formatted once. The strings are the product of a
+        list of row prefixes and a list of row suffixes, each in turn such a
+        product, over the axes in column order; when the grid nests its axes
+        in another order, the rows are then put in the grid's C order."""
+        key = tuple(columns)
+        if key in self._texts:
+            return self._texts[key]
+        nest = self._nest
+        pos = {name: k for k, (name, _) in enumerate(nest)}
+        parts = [[repr(x) + "," for x in nest[pos[c]][1].tolist()] if c in pos
+                 else [","] for c in key]
+        order = [pos[c] for c in key if c in pos]
+        for k, (_, vals) in enumerate(nest):
+            if k not in order:   # an axis outside the layout: no text
+                order.append(k)
+                parts.append([""] * len(vals))
+        rows = _text_product(parts)
+        if order != sorted(order):
+            rows = np.array(rows, dtype=object).reshape(
+                [len(nest[k][1]) for k in order]).transpose(np.argsort(order))
+            rows = rows.reshape(-1).tolist()
+        self._texts[key] = rows
+        return rows
+
+    @functools.cached_property
+    def _texts(self) -> dict:
+        return {}
+
+
+def _text_product(parts: list) -> list:
+    """Every concatenation of one string from each list, in C order: the
+    product of the prefixes of the first half and the suffixes of the rest."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    prefixes, suffixes = _text_product(parts[:half]), _text_product(parts[half:])
+    return [p + s for p in prefixes for s in suffixes]
 
 
 @dataclass(frozen=True)
 class SampledGrid(Grid):
     """A grid repeated once per sample of one more variable ``name`` (the
-    grid x chi points of an evolution family); ``name`` is the last column."""
+    grid x chi points of an evolution family); ``name`` is the last column
+    and the outermost axis."""
 
     name: str
     samples: tuple
@@ -206,13 +316,8 @@ class SampledGrid(Grid):
         return (len(self.samples), *super().shape)
 
     @functools.cached_property
-    def _arrays(self) -> Mapping[str, np.ndarray]:
-        grid = Grid(self.axes)
-        cols = {n: np.tile(c, len(self.samples)) for n, c in grid.arrays().items()}
-        cols[self.name] = np.repeat(np.asarray(self.samples), grid.size)
-        for c in cols.values():
-            c.flags.writeable = False
-        return MappingProxyType(cols)
+    def _nest(self) -> tuple:
+        return ((self.name, np.asarray(self.samples)), *Grid(self.axes)._nest)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +327,16 @@ class SampledGrid(Grid):
 @dataclass(frozen=True)
 class ResidualReport:
     """Grid-sampled magnitude of an equation's left-minus-right side. ``cols``
-    is the caller's column mapping, shared and not copied: leave it unchanged."""
+    is the caller's column mapping, shared and not copied: leave it unchanged.
+    A report on a ``grid`` has its columns and one row per grid point, and
+    its residuals vary along the axes ``reads`` only."""
 
     equation: str
     cols: Mapping[str, np.ndarray]   # coordinate arrays (or scalars), CSV order
     residuals: np.ndarray            # shape (k,)
     tolerance: float
+    grid: Grid | None = None
+    reads: frozenset = frozenset()
 
     @property
     def columns(self) -> tuple:
@@ -261,9 +370,10 @@ class ResidualReport:
 
     @classmethod
     def from_grid(cls, equation: str, grid_cols: Mapping[str, np.ndarray],
-                  residuals: np.ndarray, tolerance: float) -> "ResidualReport":
+                  residuals: np.ndarray, tolerance: float, grid: Grid | None = None,
+                  reads: frozenset = frozenset()) -> "ResidualReport":
         res = np.atleast_1d(np.asarray(residuals, dtype=float)).reshape(-1)
-        return cls(equation, grid_cols, res, float(tolerance))
+        return cls(equation, grid_cols, res, float(tolerance), grid, reads)
 
     def summary_line(self) -> str:
         return f"EQ {self.equation} max={self.max_abs:.6e} pass={self.passed}"
@@ -290,21 +400,31 @@ class ResidualReport:
         their own text) and looked up for every row, and the text is put
         together by one join over label, coordinate and residual pieces.
         ``coords`` is this report's ``coordinate_text(all_columns)`` when the
-        caller already has it from a report on the same columns.
+        caller already has it from a report on the same columns and rows.
+        On a grid, the residuals are formatted at the points of the sub-grid
+        of the axes they read and expanded to the grid's rows.
         """
         if coords is None:
             coords = self.coordinate_text(all_columns)
         pieces = [_csv_field(self.equation) + ","] * (3 * self.residuals.size)
         pieces[1::3] = coords
-        pieces[2::3] = _float_texts(self.residuals, "\r\n")
+        if self.grid is None:
+            pieces[2::3] = _float_texts(self.residuals, "\r\n")
+        else:
+            grid, reads = self.grid, self.reads
+            texts = _float_texts(grid.collapse(self.residuals, reads), "\r\n")
+            pieces[2::3] = grid.expand(np.array(texts, dtype=object), reads).tolist()
         return "".join(pieces)
 
     def coordinate_text(self, all_columns: Sequence[str]) -> list:
         """The coordinate fields of every row under ``all_columns``, one
-        string per row, each field followed by a comma.
+        string per row, each field followed by a comma; on a grid, the
+        grid's ``coordinate_text``.
 
         The fields of all rows are laid out in one list, row after row, then
         joined once and split at a row separator that no float text holds."""
+        if self.grid is not None:
+            return self.grid.coordinate_text(all_columns)
         n, width = self.residuals.size, len(all_columns) + 1
         pieces = [","] * (width * n)
         for k, c in enumerate(all_columns):
@@ -386,18 +506,19 @@ def evaluate_on_grid(e: ex.Expr | Sequence[ex.Expr], cols: Mapping[str, np.ndarr
     return out[0] if single else out
 
 
-def grid_report(label: str, exprs: Iterable[ex.Expr],
-                cols: Mapping[str, np.ndarray], tol: float,
+def grid_report(label: str, exprs: Iterable[ex.Expr], grid: Grid, tol: float,
                 extra: Mapping[str, float] | None = None) -> ResidualReport:
     """Report of max |e| over ``exprs`` at every grid point.
 
     Structurally zero expressions are skipped; the rest are evaluated as one
-    program on the calling thread. ``cols`` are the report's columns,
+    program on the calling thread, on the sub-grid of the axes they read
+    (``Grid.evaluate``), and the maxima are expanded to every point.
     ``extra`` binds further names for evaluation only.
     """
     live = [e for e in exprs if not (isinstance(e, ex.Const) and e.value == 0.0)]
-    rows = evaluate_on_grid(live, cols, extra=extra)
+    rows, reads = grid.evaluate(live, extra)
     vals = np.abs(rows[0]) if live else np.zeros(rows.shape[1])
     for row in rows[1:]:
         np.maximum(vals, np.abs(row), out=vals)
-    return ResidualReport.from_grid(label, cols, vals, tol)
+    return ResidualReport.from_grid(label, grid.arrays(), grid.expand(vals, reads),
+                                    tol, grid, reads)

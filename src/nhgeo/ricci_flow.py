@@ -119,10 +119,10 @@ def flow_residuals(fam: FlowFamily, grid: Grid, tol: float = 1e-10,
     """One report per evolution equation, evaluated on grid x the family's
     chi samples. ``extra`` binds any declared parameter names beyond chi."""
     eq_h, eq_v, off = flow_residual_components(fam)
-    cols = grid.sampled(CHI, fam.chi_samples).arrays()
-    return [grid_report("evol-h", eq_h, cols, tol, extra),
-            grid_report("evol-v", eq_v, cols, tol, extra),
-            grid_report("ricci-offdiag", off, cols, tol, extra)]
+    points = grid.sampled(CHI, fam.chi_samples)
+    return [grid_report("evol-h", eq_h, points, tol, extra),
+            grid_report("evol-v", eq_v, points, tol, extra),
+            grid_report("ricci-offdiag", off, points, tol, extra)]
 
 
 def hamilton_residual_components(fam: FlowFamily):
@@ -142,7 +142,7 @@ def hamilton_residual(fam: FlowFamily, grid: Grid, tol: float = 1e-10,
                       extra=None) -> ResidualReport:
     comps = hamilton_residual_components(fam)
     return grid_report("hamilton", [c for row in comps for c in row],
-                       grid.sampled(CHI, fam.chi_samples).arrays(), tol, extra)
+                       grid.sampled(CHI, fam.chi_samples), tol, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,6 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
         h4, h5, (ex.ZERO, w2, w3), (ex.ZERO, n2, n2),
         provenance={"family": "flow_integrable", "lam": recipe.lam},
         excluded=(h5s, varsigma4, recipe.varpi), grid=points, extra=extra)
-    cols = points.arrays()
 
     if not ex.is_zero(recipe.n2fn):
         # C(x2,x3) = h5 * indefinite integral of h4/(sqrt|h5|)^3 must be
@@ -240,7 +239,7 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
         # is equivalent to d_v [ d_v(h5 I) / h5* ] = 0 for the definite I.
         prof = ex.mul(h5, ex.intv(n_integrand, recipe.v0))
         c_resid = _dv(ex.div(_dv(prof), h5s))
-        crep = grid_report("quadrature-compat", [c_resid], cols, tol, extra)
+        crep = grid_report("quadrature-compat", [c_resid], points, tol, extra)
         if not crep.passed:
             raise QuadratureCompatibilityError(crep)
 
@@ -248,7 +247,7 @@ def build_flow_solution(recipe: FlowRecipe, grid: Grid,
     rfea1 = ex.add(ex.mul(e2, _d2(_d2(lnv))), ex.mul(e3, _d3(_d3(lnv))),
                    ex.mul(-2.0, recipe.lam),
                    ex.mul(h5, _dchi(ex.pow_(n2, 2))))
-    rep = grid_report("h-compat", [rfea1], cols, tol, extra)
+    rep = grid_report("h-compat", [rfea1], points, tol, extra)
     if not rep.passed:
         raise HorizontalCompatibilityError(rep)
 
@@ -271,7 +270,7 @@ def build_lc_flow(recipe: LCFlowRecipe, grid: Grid, chi_samples: Sequence[float]
         h4, h5, w, n, provenance={"family": "flow_lc", "lam": recipe.lam},
         excluded=(h4, h5, _dv(h5)), grid=points, extra=extra)
     reports = [grid_report("n-evolution" if label == "n-curl" else label,
-                           exprs, points.arrays(), tol, extra)
+                           exprs, points, tol, extra)
                for label, exprs in lines.items()]
     fam = FlowFamily(metric, recipe.lam, points.samples)
     return fam, reports

@@ -19,7 +19,8 @@ from nhgeo import expr as ex
 from nhgeo import geometry as geo
 from nhgeo import geroch as gr
 from nhgeo import serialize as ser
-from nhgeo.numerics import ResidualReport
+from nhgeo.numerics import Grid, ResidualReport, evaluate_on_grid, grid_report
+from conftest import RandomExprs
 
 GRID5 = {n: {"min": 0.5, "max": 1.5, "count": 3}
          for n in ("x1", "x2", "x3", "v")}
@@ -273,6 +274,22 @@ class TestVerify:
         assert err == ("evaluation error: sqrt of negative value in g[1][1] = "
                        "exp(x2)*sqrt(-x1 + 1.45) at grid point {'x1': 1.5, "
                        "'x2': 0.5, 'x3': 0.5, 'v': 0.5, 'y5': 0.5}\n")
+
+    def test_eval_error_on_a_sub_grid_names_every_column(self, tmp_path, capsys):
+        # S44+Y2 reads x2 and v only and runs on their 9 pairs; the error
+        # names the first point of the 5-axis grid with the failing pair
+        metric = self.make_metric(tmp_path)
+        doc = json.loads((tmp_path / "metric.json").read_text())
+        doc["h"][0][0] = "sqrt(v - x2)"
+        bad = write(tmp_path, "metric_bad.json", doc)
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": bad, "grid": GRID5Y, "tolerance": 1e-8})
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "v.csv")]) == 4
+        assert capsys.readouterr().err == (
+            "evaluation error: sqrt of negative value in h[0][0] = sqrt(v - x2) "
+            "at grid point {'x1': 0.5, 'x2': 1.0, 'x3': 0.5, 'v': 0.5, "
+            "'y5': 0.5}\n")
 
     def test_reports_share_two_column_mappings(self, tmp_path, monkeypatch):
         captured = []
@@ -987,6 +1004,15 @@ class TestCsvWriter:
         assert "\r\nc,,,,-0.0,,,0.001\r\n" in got
         assert "\r\ne,,,,0.0,,,0.001\r\n" in got
 
+    def test_reports_of_different_lengths_on_one_mapping(self, tmp_path):
+        # consecutive reports share coordinate text only with equal row counts
+        cols = {"v": 1.0}
+        reports = [ResidualReport.from_grid("one", cols, np.array([0.5]), 1e-8),
+                   ResidualReport.from_grid("three", cols,
+                                            np.array([1.0, -0.0, 2.0]), 1e-8)]
+        got = self.assert_matches_reference(tmp_path, reports).decode()
+        assert got.count("\r\nthree,,,,1.0,,,") == 3
+
     def test_real_reports(self, tmp_path, monkeypatch):
         captured = []
         write_csv = cli._write_csv
@@ -1019,3 +1045,50 @@ class TestCsvWriter:
         assert any("chi" in rep.columns for rep in captured[1])
         for reports in captured:
             self.assert_matches_reference(tmp_path, reports)
+
+
+@st.composite
+def axis_reports(draw):
+    """Up to three reports on one grid: a random subset of the coordinates
+    and of a name outside the CSV columns, listed in random order, some axes
+    starting at -0.0, sometimes repeated over chi samples; each report on
+    random expressions of a random subset of the grid's names, sometimes
+    with a structural zero."""
+    names = draw(st.permutations(("x1", "x2", "x3", "v", "y5", "p")))
+    spec = {n: (lo, lo + draw(st.sampled_from((1.0, 0.3, 2.5))),
+                draw(st.integers(2, 4)))
+            for n, lo in zip(names[:draw(st.integers(1, 4))],
+                             draw(st.lists(st.sampled_from((-0.0, 0.0, 0.5, -1.0)),
+                                           min_size=4, max_size=4)))}
+    grid = Grid.build(spec)
+    if draw(st.booleans()):
+        grid = grid.sampled("chi", draw(st.lists(
+            st.sampled_from((-0.0, 0.0, 0.5, 1.0)), min_size=1, max_size=3)))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        reads = draw(st.lists(st.sampled_from(grid.names), min_size=1, unique=True))
+        exprs = RandomExprs(reads, seed=draw(st.integers(0, 2 ** 16))).sample(
+            draw(st.integers(0, 3)), depth=2)
+        groups.append(exprs + [ex.ZERO] * draw(st.integers(0, 1)))
+    return grid, groups
+
+
+class TestAxisReports:
+    """Reports evaluated on the axes they read equal full-grid evaluation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis_reports())
+    def test_sub_grid_reports_match_full_grid(self, drawn):
+        grid, groups = drawn
+        reports = [grid_report(f"r{k}", exprs, grid, 1e-8)
+                   for k, exprs in enumerate(groups)]
+        for rep, exprs in zip(reports, groups):
+            rows = evaluate_on_grid(exprs, grid.arrays())
+            want = (np.max(np.abs(rows), axis=0) if exprs
+                    else np.zeros(grid.size))
+            assert rep.residuals.tobytes() == want.tobytes()
+        # the reports share their grid's coordinate text
+        assert all(rep.coordinate_text(cli.CSV_COLUMNS)
+                   is grid.coordinate_text(cli.CSV_COLUMNS) for rep in reports)
+        with tempfile.TemporaryDirectory() as tmp:
+            TestCsvWriter().assert_matches_reference(Path(tmp), reports)

@@ -167,23 +167,22 @@ class TestResidualReport:
 class TestGridReport:
     def test_max_abs_over_expressions(self):
         g = nm.Grid.build({"v": (0.5, 1.5, 3)})
-        cols = g.arrays()
         rep = nm.grid_report("eq", [ex.sub(V, 1), ex.ZERO, ex.mul(-0.5, V)],
-                             cols, 0.6)
+                             g, 0.6)
         assert rep.columns == ("v",)
         assert np.array_equal(rep.residuals, [0.5, 0.5, 0.75])
         assert not rep.passed
 
     def test_only_zero_expressions_give_zeros(self):
-        cols = nm.Grid.build({"v": (0.5, 1.5, 4)}).arrays()
-        rep = nm.grid_report("eq", [ex.ZERO, ex.ZERO], cols, 1e-12)
+        g = nm.Grid.build({"v": (0.5, 1.5, 4)})
+        rep = nm.grid_report("eq", [ex.ZERO, ex.ZERO], g, 1e-12)
         assert np.array_equal(rep.residuals, np.zeros(4)) and rep.passed
-        assert nm.grid_report("eq", [], cols, 1e-12).residuals.shape == (4,)
+        assert nm.grid_report("eq", [], g, 1e-12).residuals.shape == (4,)
 
     def test_extra_binds_without_becoming_a_column(self):
-        cols = nm.Grid.build({"v": (0.5, 1.5, 3)}).arrays()
+        g = nm.Grid.build({"v": (0.5, 1.5, 3)})
         e = ex.mul(ex.var("theta1"), V)
-        rep = nm.grid_report("eq", [e], cols, 1.0, extra={"theta1": 2.0})
+        rep = nm.grid_report("eq", [e], g, 1.0, extra={"theta1": 2.0})
         assert rep.columns == ("v",)
         assert np.array_equal(rep.residuals, [1.0, 2.0, 3.0])
 
@@ -209,12 +208,13 @@ class TestProgramOnGrid:
         monkeypatch.setattr(nm, "adaptive_simpson", counted)
         F = ex.intv(ex.mul(ex.var("x2"), V), 1.0)
         comps = [ex.add(F, V), ex.mul(F, ex.var("x2")), ex.sin(F)]
-        cols = nm.Grid.build({"v": (0.5, 1.5, 3), "x2": (0.5, 1.5, 3),
-                              "x3": (0.5, 1.5, 2)}).arrays()
+        g = nm.Grid.build({"v": (0.5, 1.5, 3), "x2": (0.5, 1.5, 3),
+                           "x3": (0.5, 1.5, 2)})
+        cols = g.arrays()
         nm.evaluate_on_grid(F, cols)
         once = len(calls)
         calls.clear()
-        rep = nm.grid_report("eq", comps, cols, 1.0)
+        rep = nm.grid_report("eq", comps, g, 1.0)
         # the quadratures of one distinct (v, x2) each, not one per component
         assert len(calls) == once
         assert {(a, b) for a, b in calls if a <= b} == {
@@ -232,8 +232,8 @@ class TestProgramOnGrid:
             raise AssertionError("grid_report started a thread pool")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        cols = nm.Grid.build({"v": (0.5, 1.5, 40)}).arrays()
-        rep = nm.grid_report("eq", [ex.sub(V, 1), ex.mul(V, V)], cols, 1.0)
+        g = nm.Grid.build({"v": (0.5, 1.5, 40)})
+        rep = nm.grid_report("eq", [ex.sub(V, 1), ex.mul(V, V)], g, 1.0)
         assert rep.residuals.size == 40
 
 
