@@ -20,7 +20,7 @@ from . import geroch as gr
 from . import ricci_flow as rf
 from . import serialize as ser
 from .geometry import canonical_dconnection, check_lc_compatibility, curvature_ricci
-from .numerics import (ResidualReport, evaluate_on_grid, grid_report,
+from .numerics import (Points, ResidualReport, evaluate_on_grid, grid_report,
                        reports_to_json)
 
 EXIT_PASS = 0
@@ -35,18 +35,11 @@ CSV_COLUMNS = ("x1", "x2", "x3", "v", "y5", "chi")
 
 
 def _write_csv(path: str, reports) -> None:
-    """Header, then the text of each report in one write; consecutive reports
-    on the same column mapping and row count share one formatting of the
-    coordinate text (reports on a grid share their grid's)."""
+    """Header, then the text of each report in one write."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["equation", *CSV_COLUMNS, "residual"])
-        prev = coords = None
         for rep in reports:
-            if (prev is None or rep.cols is not prev.cols
-                    or rep.residuals.size != prev.residuals.size):
-                coords = rep.coordinate_text(CSV_COLUMNS)
-            fh.write(rep.csv_rows(CSV_COLUMNS, coords))
-            prev = rep
+            fh.write(rep.csv_rows(CSV_COLUMNS))
 
 
 def _summarize(reports, out=None) -> bool:
@@ -109,7 +102,7 @@ def _ricci_layout_reports(gm, ric, source, grid, tol, params=None):
 
 def _oracle_reports(gm, ric, grid, tol, rng, points):
     """Engine mixed components against the closed-form reductions at random
-    points inside the grid box (relative agreement)."""
+    points inside the grid box (relative agreement), all on one Points."""
     chart = gm.chart
     names = chart.coord_names
     if chart.y_names != ("v", "y5") or names[-4:-2] != ("x2", "x3"):
@@ -117,10 +110,11 @@ def _oracle_reports(gm, ric, grid, tol, rng, points):
     n = chart.n
     lows = {a[0]: a[1] for a in grid.axes}
     highs = {a[0]: a[2] for a in grid.axes}
-    pts = {nm: rng.uniform(lows.get(nm, 1.0), highs.get(nm, 1.0), size=points)
-           for nm in names}
+    cols = {nm: rng.uniform(lows.get(nm, 1.0), highs.get(nm, 1.0), size=points)
+            for nm in names}
     for p in chart.params:
-        pts[p] = rng.uniform(0.0, 1.0, size=points)
+        cols[p] = rng.uniform(0.0, 1.0, size=points)
+    pts = Points(cols)
 
     g22 = gm.metric.g[n - 2][n - 2]
     g33 = gm.metric.g[n - 1][n - 1]
@@ -136,7 +130,7 @@ def _oracle_reports(gm, ric, grid, tol, rng, points):
         pairs.append((f"oracle-R5{xi[1]}", ric.ah(1, i),
                       gen.closed_r5i(h4, h5, gm.nconn.entry(i, 1))))
     vals = evaluate_on_grid([e for _, engine, closed in pairs
-                             for e in (engine, closed)], pts)
+                             for e in (engine, closed)], cols)
     out = []
     for (label, _, _), e, c in zip(pairs, vals[0::2], vals[1::2]):
         rel = np.abs(e - c) / (1.0 + np.abs(c))
@@ -152,8 +146,8 @@ def verification_reports(gm, source, grid, tol, seed=0,
     points) and 'lc' (Levi-Civita compatibility; opt-in because generic
     generated metrics are nonholonomic solutions outside that regime).
 
-    ``params`` binds declared parameter names (theta components, chi) to
-    values for the grid-based groups; the oracle group samples them."""
+    ``params`` binds parameters of the metric's chart that are not grid
+    axes to values for the grid-based groups; the oracle group samples them."""
     reports = []
     conn = canonical_dconnection(gm.metric, gm.nconn, gm.chart)
     if "ricci" in checks or "oracles" in checks:
@@ -236,9 +230,9 @@ def cmd_verify(args) -> int:
 
 def _per_chi_sections(reports, chis):
     for rep in reports:
-        if "chi" not in rep.cols:
+        if "chi" not in rep.points.names:
             continue
-        chi = rep.column("chi")
+        chi = rep.points.arrays()["chi"]
         for c in chis:
             mask = chi == c
             if mask.any():

@@ -2,18 +2,18 @@
 
 The generator formulas need definite integrals along the anisotropy
 coordinate v; everything here is plain adaptive Simpson with a Richardson
-error estimate. Residual checks over grids are collected in ResidualReport
-objects, the toolkit's universal notion of "this metric solves equation X
-to tolerance tau". evaluate_on_grid is the one array evaluator, and names the
-grid point of an evaluation error. Grid.evaluate runs it on the sub-grid of
-the axes the expressions read (generated metrics never depend on y5, and most
-reports read one or two axes) and names the point of the full grid.
-grid_report is the only path from expressions to a max-abs ResidualReport; it
-evaluates a report's expressions as one program (expr.Program) on the calling
-thread on that sub-grid and repeats the values over the unread axes. The CSV
-text of a report on a grid is built from the axis values: one coordinate text
-per grid and column layout, and residual text formatted at the sub-grid
-points.
+error estimate. Residual checks are collected in ResidualReport objects, the
+toolkit's universal notion of "this metric solves equation X to tolerance
+tau". evaluate_on_grid is the one array evaluator, and names the grid point
+of an evaluation error. Grid.evaluate runs it on the sub-grid of the axes the
+expressions read (generated metrics never depend on y5, and most reports read
+one or two axes) and names the point of the full grid. grid_report is the
+only path from expressions to a max-abs ResidualReport; it evaluates a
+report's expressions as one program (expr.Program) on the calling thread on
+that sub-grid, and the report keeps the values there. A report's points are
+a Grid or Points (sampled columns); the point set owns its coordinate
+columns, its CSV coordinate text (built once per column layout, a grid's
+from its axis values) and the spreading of sub-grid values to every point.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -61,8 +61,6 @@ class Quadrature:
 
     abs_tol: float = 1e-12
     max_depth: int = 48
-
-    method: str = field(default="adaptive-simpson", init=False)
 
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -119,11 +117,62 @@ def integrate_v(e: ex.Expr, fixed: Mapping[str, float], v0: float, v1: float,
 
 
 # ---------------------------------------------------------------------------
-# grids
+# point sets: grids and sampled points
 # ---------------------------------------------------------------------------
 
+class _PointSet:
+    """The CSV coordinate text of a point set, built once per layout."""
+
+    def coordinate_text(self, columns: Sequence[str]) -> list:
+        """The coordinate fields of every point under the column layout
+        ``columns``, one string per point, each field followed by a comma
+        (blank for a column that is not a coordinate)."""
+        key = tuple(columns)
+        if key not in self._texts:
+            self._texts[key] = self._text(key)
+        return self._texts[key]
+
+    @functools.cached_property
+    def _texts(self) -> dict:
+        return {}
+
+
+class Points(_PointSet):
+    """Points given by their coordinate columns, the caller's 1-D arrays,
+    shared and not copied (the oracle's random samples); a report's values
+    on them are at every point."""
+
+    def __init__(self, cols: Mapping[str, np.ndarray]):
+        # ValueError unless there are columns and they share one length
+        (self.size,) = {c.size for c in cols.values()}
+        self.cols, self.names = cols, tuple(cols)
+
+    def arrays(self) -> Mapping[str, np.ndarray]:
+        return self.cols
+
+    def point(self, row: int) -> dict:
+        return {n: float(c[row]) for n, c in self.cols.items()}
+
+    def expand(self, values: np.ndarray, reads: frozenset) -> np.ndarray:
+        return values
+
+    def _text(self, key: tuple) -> list:
+        """The fields of all points laid out in one list, point after point,
+        then joined once and split at a row separator that no float text
+        holds."""
+        n, width = self.size, len(key) + 1
+        pieces = [","] * (width * n)
+        for k, c in enumerate(key):
+            if c in self.cols:
+                pieces[k::width] = _float_texts(self.cols[c], ",").tolist()
+        pieces[width - 1::width] = ["\n"] * n
+        rows = "".join(pieces).split("\n")
+        rows.pop()
+        return rows
+
+
 @dataclass(frozen=True)
-class Grid:
+class Grid(_PointSet):
     """Cartesian sample grid: per-variable (min, max, count), count >= 2."""
 
     axes: tuple  # tuple of (name, lo, hi, count)
@@ -165,26 +214,21 @@ class Grid:
     def arrays(self) -> Mapping[str, np.ndarray]:
         """Flattened meshgrid columns, deterministic C order; built once per
         grid, read-only."""
-        return self._arrays
-
-    @functools.cached_property
-    def _arrays(self) -> Mapping[str, np.ndarray]:
-        grids = np.meshgrid(*(vals for _, vals in self._nest), indexing="ij")
-        cols = {name: g.reshape(-1) for (name, _), g in zip(self._nest, grids)}
-        for c in cols.values():
-            c.flags.writeable = False
-        return MappingProxyType({n: cols[n] for n in self.names})
+        return self._sub(frozenset(self.names))[0]
 
     def _sub(self, reads: frozenset) -> tuple:
-        """The columns of the axes in ``reads`` at the points of their
-        sub-grid (C order), and this grid's shape with 1 for every axis
-        outside ``reads``; built once per set of names."""
+        """The read-only columns of the axes in ``reads`` at the points of
+        their sub-grid (C order), and this grid's shape with 1 for every
+        axis outside ``reads``; built once per set of names."""
         sub = self._subgrids.get(reads)
         if sub is None:
+            nest = [(name, vals) for name, vals in self._nest if name in reads]
+            grids = np.meshgrid(*(vals for _, vals in nest), indexing="ij")
+            cols = {name: g.reshape(-1) for (name, _), g in zip(nest, grids)}
+            for c in cols.values():
+                c.flags.writeable = False
             shape = tuple(len(vals) if name in reads else 1 for name, vals in self._nest)
-            at = tuple(map(slice, shape))
-            cols = {n: c.reshape(self.shape)[at].reshape(-1)
-                    for n, c in self.arrays().items() if n in reads}
+            cols = MappingProxyType({n: cols[n] for n in self.names if n in reads})
             sub = self._subgrids[reads] = cols, shape
         return sub
 
@@ -220,13 +264,19 @@ class Grid:
             err.row, err.point = self._point(reads, err.row, extra)
             raise
 
+    def point(self, row: int) -> dict:
+        """The coordinates of point ``row`` (C order), in column order."""
+        at = np.unravel_index(row, self.shape)
+        coords = {name: float(vals[i]) for (name, vals), i in zip(self._nest, at)}
+        return {name: coords[name] for name in self.names}
+
     def _point(self, reads, sub_row, extra):
         """The first row of this grid (C order) at the point ``sub_row`` of
         the sub-grid of ``reads``, unread axes at their first value, and its
         point: the grid columns, then the ``extra`` bindings."""
         at = np.unravel_index(sub_row, self._sub(reads)[1])
         row = int(np.ravel_multi_index(at, self.shape))
-        point = {n: float(c[row]) for n, c in self.arrays().items()}
+        point = self.point(row)
         point.update((k, float(v)) for k, v in (extra or {}).items())
         return row, point
 
@@ -235,12 +285,6 @@ class Grid:
         out = np.empty(self.shape, dtype=values.dtype)
         out[...] = values.reshape(self._sub(reads)[1])
         return out.reshape(-1)
-
-    def collapse(self, values: np.ndarray, reads: frozenset) -> np.ndarray:
-        """The inverse of ``expand``: values at every point of this grid that
-        vary along ``reads`` only, at the points of the sub-grid."""
-        at = tuple(map(slice, self._sub(reads)[1]))
-        return values.reshape(self.shape)[at].reshape(-1)
 
     def check_exclusions(self, exprs: Iterable[ex.Expr], min_abs: float = 1e-9,
                          extra: Mapping[str, float] | None = None) -> None:
@@ -254,18 +298,11 @@ class Grid:
                 _, point = self._point(reads, int(np.argmax(bad)), extra)
                 raise GridExclusionError(e, point)
 
-    def coordinate_text(self, columns: Sequence[str]) -> list:
-        """The coordinate fields of every point under the column layout
-        ``columns``, one string per point, each field followed by a comma
-        (blank for a column that is not an axis); built once per layout.
-
-        Each axis value is formatted once. The strings are the product of a
-        list of row prefixes and a list of row suffixes, each in turn such a
-        product, over the axes in column order; when the grid nests its axes
-        in another order, the rows are then put in the grid's C order."""
-        key = tuple(columns)
-        if key in self._texts:
-            return self._texts[key]
+    def _text(self, key: tuple) -> list:
+        """Each axis value is formatted once. The strings are the product of
+        a list of row prefixes and a list of row suffixes, each in turn such
+        a product, over the axes in column order; when the grid nests its
+        axes in another order, the rows are then put in the grid's C order."""
         nest = self._nest
         pos = {name: k for k, (name, _) in enumerate(nest)}
         parts = [[repr(x) + "," for x in nest[pos[c]][1].tolist()] if c in pos
@@ -280,12 +317,7 @@ class Grid:
             rows = np.array(rows, dtype=object).reshape(
                 [len(nest[k][1]) for k in order]).transpose(np.argsort(order))
             rows = rows.reshape(-1).tolist()
-        self._texts[key] = rows
         return rows
-
-    @functools.cached_property
-    def _texts(self) -> dict:
-        return {}
 
 
 def _text_product(parts: list) -> list:
@@ -326,30 +358,23 @@ class SampledGrid(Grid):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Grid-sampled magnitude of an equation's left-minus-right side. ``cols``
-    is the caller's column mapping, shared and not copied: leave it unchanged.
-    A report on a ``grid`` has its columns and one row per grid point, and
-    its residuals vary along the axes ``reads`` only."""
+    """Sampled magnitude of an equation's left-minus-right side: ``values``
+    at the points of the sub-grid of ``reads`` of a Grid (at every point of
+    Points), and ``residuals`` at every point."""
 
     equation: str
-    cols: Mapping[str, np.ndarray]   # coordinate arrays (or scalars), CSV order
-    residuals: np.ndarray            # shape (k,)
+    points: Grid | Points
+    values: np.ndarray
     tolerance: float
-    grid: Grid | None = None
     reads: frozenset = frozenset()
 
-    @property
-    def columns(self) -> tuple:
-        return tuple(self.cols)
-
-    def column(self, name: str) -> np.ndarray:
-        """Coordinate ``name`` at every row."""
-        return np.broadcast_to(np.asarray(self.cols[name], dtype=float),
-                               self.residuals.shape)
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        return self.points.expand(self.values, self.reads)
 
     @property
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.residuals))) if self.residuals.size else 0.0
+        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     @property
     def mean_abs(self) -> float:
@@ -357,23 +382,21 @@ class ResidualReport:
 
     @property
     def worst_at(self) -> dict | None:
-        """Coordinates of the first row with the largest |residual| (None
-        when there are no rows)."""
-        if not self.residuals.size:
+        """Coordinates of the first point with the largest |residual| (None
+        when there are no points)."""
+        if not self.values.size:
             return None
-        k = int(np.argmax(np.abs(self.residuals)))
-        return {c: float(self.column(c)[k]) for c in self.cols}
+        return self.points.point(int(np.argmax(np.abs(self.residuals))))
 
     @property
     def passed(self) -> bool:
         return self.max_abs <= self.tolerance
 
     @classmethod
-    def from_grid(cls, equation: str, grid_cols: Mapping[str, np.ndarray],
-                  residuals: np.ndarray, tolerance: float, grid: Grid | None = None,
-                  reads: frozenset = frozenset()) -> "ResidualReport":
-        res = np.atleast_1d(np.asarray(residuals, dtype=float)).reshape(-1)
-        return cls(equation, grid_cols, res, float(tolerance), grid, reads)
+    def from_grid(cls, equation: str, points: Grid | Points, values: np.ndarray,
+                  tolerance: float, reads: frozenset = frozenset()) -> "ResidualReport":
+        vals = np.atleast_1d(np.asarray(values, dtype=float)).reshape(-1)
+        return cls(equation, points, vals, float(tolerance), reads)
 
     def summary_line(self) -> str:
         return f"EQ {self.equation} max={self.max_abs:.6e} pass={self.passed}"
@@ -385,55 +408,24 @@ class ResidualReport:
             "mean_abs": self.mean_abs,
             "tolerance": self.tolerance,
             "pass": self.passed,
-            "points": int(self.residuals.size),
+            "points": self.points.size,
             "worst_at": self.worst_at,
         }
 
-    def csv_rows(self, all_columns: Sequence[str],
-                 coords: Sequence[str] | None = None) -> str:
+    def csv_rows(self, all_columns: Sequence[str]) -> str:
         """The report's CSV text under a fixed column layout, one line per
-        row ("" without rows); absent coordinates are blank.
+        point ("" without points); absent coordinates are blank.
 
         Lines end in CRLF, the label is quoted by the ``csv`` module's rules
-        and floats are ``repr`` text. Columns are formatted whole: each
-        distinct float64 bit pattern is formatted once (so -0.0 and 0.0 keep
-        their own text) and looked up for every row, and the text is put
-        together by one join over label, coordinate and residual pieces.
-        ``coords`` is this report's ``coordinate_text(all_columns)`` when the
-        caller already has it from a report on the same columns and rows.
-        On a grid, the residuals are formatted at the points of the sub-grid
-        of the axes they read and expanded to the grid's rows.
+        and floats are ``repr`` text: the point set's coordinate text, and
+        each distinct float64 bit pattern of the values formatted once (so
+        -0.0 and 0.0 keep their own text) and spread to every point.
         """
-        if coords is None:
-            coords = self.coordinate_text(all_columns)
-        pieces = [_csv_field(self.equation) + ","] * (3 * self.residuals.size)
-        pieces[1::3] = coords
-        if self.grid is None:
-            pieces[2::3] = _float_texts(self.residuals, "\r\n")
-        else:
-            grid, reads = self.grid, self.reads
-            texts = _float_texts(grid.collapse(self.residuals, reads), "\r\n")
-            pieces[2::3] = grid.expand(np.array(texts, dtype=object), reads).tolist()
+        pieces = [_csv_field(self.equation) + ","] * (3 * self.points.size)
+        pieces[1::3] = self.points.coordinate_text(all_columns)
+        texts = _float_texts(self.values, "\r\n")
+        pieces[2::3] = self.points.expand(texts, self.reads).tolist()
         return "".join(pieces)
-
-    def coordinate_text(self, all_columns: Sequence[str]) -> list:
-        """The coordinate fields of every row under ``all_columns``, one
-        string per row, each field followed by a comma; on a grid, the
-        grid's ``coordinate_text``.
-
-        The fields of all rows are laid out in one list, row after row, then
-        joined once and split at a row separator that no float text holds."""
-        if self.grid is not None:
-            return self.grid.coordinate_text(all_columns)
-        n, width = self.residuals.size, len(all_columns) + 1
-        pieces = [","] * (width * n)
-        for k, c in enumerate(all_columns):
-            if c in self.cols:
-                pieces[k::width] = _float_texts(self.column(c), ",")
-        pieces[width - 1::width] = ["\n"] * n
-        rows = "".join(pieces).split("\n")
-        rows.pop()
-        return rows
 
 
 def _csv_field(text: str) -> str:
@@ -444,13 +436,14 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def _float_texts(col: np.ndarray, suffix: str) -> list:
-    """``repr(v) + suffix`` for every value of a float column."""
+def _float_texts(col: np.ndarray, suffix: str) -> np.ndarray:
+    """``repr(v) + suffix`` for every value of a float column (an object
+    array)."""
     col = np.ascontiguousarray(col, dtype=np.float64)
     _, first, inverse = np.unique(col.view(np.uint64), return_index=True,
                                   return_inverse=True)
     texts = np.array([repr(v) + suffix for v in col[first].tolist()], dtype=object)
-    return texts[inverse].tolist()
+    return texts[inverse]
 
 
 def reports_to_json(reports: Sequence[ResidualReport]) -> str:
@@ -512,7 +505,7 @@ def grid_report(label: str, exprs: Iterable[ex.Expr], grid: Grid, tol: float,
 
     Structurally zero expressions are skipped; the rest are evaluated as one
     program on the calling thread, on the sub-grid of the axes they read
-    (``Grid.evaluate``), and the maxima are expanded to every point.
+    (``Grid.evaluate``); the report holds the maxima at its points.
     ``extra`` binds further names for evaluation only.
     """
     live = [e for e in exprs if not (isinstance(e, ex.Const) and e.value == 0.0)]
@@ -520,5 +513,4 @@ def grid_report(label: str, exprs: Iterable[ex.Expr], grid: Grid, tol: float,
     vals = np.abs(rows[0]) if live else np.zeros(rows.shape[1])
     for row in rows[1:]:
         np.maximum(vals, np.abs(row), out=vals)
-    return ResidualReport.from_grid(label, grid.arrays(), grid.expand(vals, reads),
-                                    tol, grid, reads)
+    return ResidualReport.from_grid(label, grid, vals, tol, reads)

@@ -93,21 +93,32 @@ def _exprs(d: Mapping, key: str, count: int, allowed, ctx: str, default=_REQUIRE
     return [parse_expr(c, allowed, label or key) for c in raw]
 
 
-def _bindings(d: Mapping, key: str, ctx: str) -> dict:
-    """The name -> number object ``d[key]``."""
+def _bindings(d: Mapping, key: str, ctx: str, params: tuple, grid: Grid) -> dict:
+    """The name -> number object ``d[key]``, each name one of the declared
+    ``params`` and not an axis of ``grid``."""
     values = _field(d, key, Mapping, ctx, {})
-    return {k: _field(values, k, _number, key) for k in values}
+    values = {k: _field(values, k, _number, key) for k in values}
+    for k in values:
+        if k in grid.names:
+            raise ConfigError(f"{k!r} in {key} is a grid axis, not a parameter")
+        if k not in params:
+            raise ConfigError(f"{k!r} in {key} is not a declared parameter "
+                              f"(declared: {', '.join(params) or 'none'})")
+    return values
+
+
+def _positive(d: Mapping, key: str, ctx: str, default: float) -> float:
+    value = _field(d, key, _number, ctx, default)
+    if not value > 0.0:
+        raise ConfigError(f"{key} must be positive, got {value}")
+    return value
 
 
 def _tolerance(d: Mapping, ctx: str, default: float, override=None) -> float:
     """The config's tolerance, or the command line's ``override``, checked
     the same way."""
-    if override is not None:
-        d = {"tolerance": override}
-    tol = _field(d, "tolerance", _number, ctx, default)
-    if not tol > 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
-    return tol
+    return _positive(d if override is None else {"tolerance": override},
+                     "tolerance", ctx, default)
 
 
 def point_from_text(text: str) -> dict:
@@ -322,7 +333,7 @@ def generate_config(d: Mapping, tolerance=None) -> GenerateConfig:
     grid = grid_from_dict(_field(d, "grid", object, "recipe"))
     return GenerateConfig(family, recipe, src, entries, grid,
                           _tolerance(d, "recipe", 1e-10, tolerance),
-                          _bindings(d, "param_values", "recipe"))
+                          _bindings(d, "param_values", "recipe", recipe.params, grid))
 
 
 def verify_config(d: Mapping, tolerance=None, seed=None) -> VerifyConfig:
@@ -331,13 +342,14 @@ def verify_config(d: Mapping, tolerance=None, seed=None) -> VerifyConfig:
     grid = grid_from_dict(_field(d, "grid", object, ctx))
     source = source_from_dict(_field(d, "source", Mapping, ctx, None),
                               gm.chart.all_names)
+    if (points := _field(d, "oracle_points", _count, ctx, 50)) < 1:
+        raise ConfigError(f"oracle_points must be at least 1, got {points}")
     return VerifyConfig(
         gm, grid, source, _tolerance(d, ctx, 1e-8, tolerance),
         _field(d if seed is None else {"seed": seed}, "seed", _count, ctx, 0),
         _field(d, "checks", _check_groups, ctx, ("ricci", "oracles")),
-        _bindings(d, "params", ctx) or None,
-        _field(d, "oracle_points", _count, ctx, 50),
-        _field(d, "oracle_tolerance", _number, ctx, 1e-9),
+        _bindings(d, "params", ctx, gm.chart.params, grid) or None, points,
+        _positive(d, "oracle_tolerance", ctx, 1e-9),
         _field(d, "summary", str, ctx, "") or None)
 
 

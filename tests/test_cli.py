@@ -19,7 +19,7 @@ from nhgeo import expr as ex
 from nhgeo import geometry as geo
 from nhgeo import geroch as gr
 from nhgeo import serialize as ser
-from nhgeo.numerics import Grid, ResidualReport, evaluate_on_grid, grid_report
+from nhgeo.numerics import Grid, Points, ResidualReport, evaluate_on_grid, grid_report
 from conftest import RandomExprs
 
 GRID5 = {n: {"min": 0.5, "max": 1.5, "count": 3}
@@ -302,14 +302,37 @@ class TestVerify:
         assert len(captured) == 12
         ricci, oracles = captured[:6], captured[6:]
         assert oracles[0].equation.startswith("oracle-")
+        # the ricci reports share the config's grid, the six oracle reports
+        # one Points, so each formats its coordinate text once
+        assert isinstance(ricci[0].points, Grid)
+        assert isinstance(oracles[0].points, Points)
         for group in (ricci, oracles):
-            assert all(rep.cols is group[0].cols for rep in group)
-        assert ricci[0].cols is not oracles[0].cols
-        # the ricci reports hold the grid's own read-only columns
-        assert not any(col.flags.writeable for col in ricci[0].cols.values())
-        for rep in captured:
-            for name in rep.columns:
-                assert np.shares_memory(rep.column(name), rep.cols[name])
+            assert all(rep.points is group[0].points for rep in group)
+        assert oracles[0].points.size == 50
+        assert set(oracles[0].points.names) == set(GRID5Y)
+
+    def test_verify_without_summary_reads_no_grid_columns(self, tmp_path,
+                                                           monkeypatch, capsys):
+        # reports evaluate on sub-grid columns, and their CSV text and
+        # summary lines come from the axis values: nothing builds the
+        # full-grid columns
+        metric = self.make_metric(tmp_path)
+        vcfg = write(tmp_path, "verify.json",
+                     {"metric": metric, "grid": GRID5Y, "tolerance": 1e-8,
+                      "checks": ["ricci", "oracles", "lc"]})
+        argv = ["verify", "--config", vcfg, "--out", str(tmp_path / "a.csv")]
+        capsys.readouterr()
+        code = cli.main(argv)
+        want = capsys.readouterr().out
+
+        def refuse(grid):
+            raise AssertionError("Grid.arrays() called")
+
+        monkeypatch.setattr(Grid, "arrays", refuse)
+        argv[-1] = str(tmp_path / "b.csv")
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == want.replace("a.csv", "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         metric = self.make_metric(tmp_path)
@@ -487,8 +510,10 @@ class TestFlow:
                          "--out", str(tmp_path / "f.csv")]) == 0
         # selection and evolution reports share the grid x chi columns
         assert len(captured) == 9
-        assert all(rep.cols is captured[0].cols for rep in captured)
-        assert not any(col.flags.writeable for col in captured[0].cols.values())
+        assert all(rep.points is captured[0].points for rep in captured)
+        cols = captured[0].points.arrays()
+        assert tuple(cols) == (*GRID4, "chi")
+        assert not any(col.flags.writeable for col in cols.values())
 
 
 class TestGeroch:
@@ -719,6 +744,15 @@ class TestMalformedFields:
                      "'oracle_points' in verify config", id="oracle-points"),
         pytest.param("verify", ("params",), {"a": "x"}, "'a' in params",
                      id="verify-params"),
+        pytest.param("verify", ("params",), {"v": -1.0},
+                     "'v' in params is a grid axis", id="verify-params-axis"),
+        pytest.param("verify", ("params",), {"zz": 1.0},
+                     "'zz' in params is not a declared parameter",
+                     id="verify-params-undeclared"),
+        pytest.param("verify", ("oracle_points",), 0,
+                     "oracle_points must be at least 1", id="oracle-points-zero"),
+        pytest.param("verify", ("oracle_tolerance",), -1,
+                     "oracle_tolerance must be positive", id="oracle-tolerance-negative"),
         pytest.param("verify", ("tolerance",), "tight",
                      "'tolerance' in verify config", id="verify-tolerance"),
         pytest.param("verify", ("summary",), ["s.json"],
@@ -726,6 +760,11 @@ class TestMalformedFields:
         pytest.param("generate", ("v0",), "one", "'v0' in recipe", id="v0"),
         pytest.param("generate", ("param_values",), {"a": "x"},
                      "'a' in param_values", id="param-values"),
+        pytest.param("generate", ("param_values",), {"x2": 1.0},
+                     "'x2' in param_values is a grid axis", id="param-values-axis"),
+        pytest.param("generate", ("param_values",), {"zz": 1.0},
+                     "'zz' in param_values is not a declared parameter",
+                     id="param-values-undeclared"),
         pytest.param("generate", ("functions", "n2_l"), "1", "functions.n2_l",
                      id="unread-function"),
         pytest.param("flow", ("lambda",), "zero", "'lambda' in flow recipe",
@@ -838,6 +877,30 @@ class TestMoreFamilies:
         assert cli.main(["verify", "--config", vcfg,
                          "--out", str(tmp_path / "vp.csv")]) == 0
 
+    def test_declared_parameter_on_a_grid_axis_exits_2(self, tmp_path, capsys):
+        # a binding may not shadow a grid axis, even of a declared name
+        recipe = {"family": "gensol1_5d", "signatures": [1, 1, 1, 1, 1],
+                  "params": ["theta1"], "param_values": {"theta1": 0.4},
+                  "functions": {"g2": "exp(x2)", "g3": "exp(x2)",
+                                "f": "v + theta1*x2*v^2"},
+                  "v0": 1.0, "grid": GRID5}
+        out = str(tmp_path / "mp.json")
+        assert cli.main(["generate", "--config", write(tmp_path, "rp.json", recipe),
+                         "--out", out]) == 0
+        theta = {"min": 0.1, "max": 0.5, "count": 2}
+        recipe["grid"] = {**GRID5, "theta1": theta}
+        assert cli.main(["generate", "--config", write(tmp_path, "rp.json", recipe),
+                         "--out", str(tmp_path / "no.json")]) == 2
+        vcfg = write(tmp_path, "vp.json", {
+            "metric": out, "grid": {**GRID5Y, "theta1": theta}, "tolerance": 1e-8,
+            "params": {"theta1": 0.4}})
+        assert cli.main(["verify", "--config", vcfg,
+                         "--out", str(tmp_path / "vp.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: 'theta1' in param_values is a grid axis, not a parameter\n"
+            "config error: 'theta1' in params is a grid axis, not a parameter\n")
+        assert not (tmp_path / "no.json").exists() and not (tmp_path / "vp.csv").exists()
+
     def test_parameter_without_value_is_left_to_verify(self, tmp_path):
         cfg = write(tmp_path, "rp.json", {
             "family": "gensol1_5d", "signatures": [1, 1, 1, 1, 1],
@@ -900,7 +963,7 @@ def reference_csv(path, reports):
         writer = csv.writer(fh)
         writer.writerow(["equation", *cli.CSV_COLUMNS, "residual"])
         for rep in reports:
-            cols = {c: rep.column(c) for c in rep.columns}
+            cols = rep.points.arrays()
             for k in range(rep.residuals.size):
                 writer.writerow(
                     [rep.equation]
@@ -920,22 +983,50 @@ CSV_LABELS = st.text(st.one_of(st.sampled_from(',"\r\n'),
 
 
 @st.composite
+def grids(draw, names=("x1", "x2", "x3", "v", "y5", "p")):
+    """A grid on a random subset of ``names``, listed in random order, some
+    axes starting at -0.0, sometimes repeated over chi samples with -0.0
+    among them."""
+    names = draw(st.permutations(names))
+    spec = {n: (lo, lo + draw(st.sampled_from((1.0, 0.3, 2.5))),
+                draw(st.integers(2, 4)))
+            for n, lo in zip(names[:draw(st.integers(1, 4))],
+                             draw(st.lists(st.sampled_from((-0.0, 0.0, 0.5, -1.0)),
+                                           min_size=4, max_size=4)))}
+    grid = Grid.build(spec)
+    if draw(st.booleans()):
+        grid = grid.sampled("chi", draw(st.lists(
+            st.sampled_from((-0.0, 0.0, 0.5, 1.0)), min_size=1, max_size=3)))
+    return grid
+
+
+@st.composite
 def report_runs(draw):
-    """Up to four reports on random subsets of the CSV columns (arrays or
-    scalars), some with no rows, some sharing the previous report's mapping."""
+    """Up to four reports, each on a grid (values on the sub-grid of random
+    axes) or on Points (random columns of CSV floats, some with no points,
+    some columns outside the CSV layout), some on the previous report's
+    points."""
     reports = []
     for _ in range(draw(st.integers(0, 4))):
         if reports and draw(st.booleans()):
-            cols, n = reports[-1].cols, reports[-1].residuals.size
+            points = reports[-1].points
+        elif draw(st.booleans()):
+            points = draw(grids())
         else:
             n = draw(st.integers(0, 12))
-            column = st.lists(CSV_FLOATS, min_size=n, max_size=n).map(np.array)
-            cols = {c: draw(st.one_of(column, CSV_FLOATS)) for c in
-                    draw(st.lists(st.sampled_from(cli.CSV_COLUMNS), unique=True))}
+            column = st.lists(CSV_FLOATS, min_size=n, max_size=n).map(
+                lambda xs: np.array(xs, dtype=float))
+            points = Points({c: draw(column) for c in draw(st.lists(
+                st.sampled_from((*cli.CSV_COLUMNS, "p")), min_size=1, unique=True))})
+        reads, n = frozenset(), points.size
+        if isinstance(points, Grid):
+            reads = frozenset(draw(st.lists(st.sampled_from(points.names), unique=True)))
+            counts = dict(zip([name for name, _ in points._nest], points.shape))
+            n = math.prod(counts[name] for name in reads)
         residuals = draw(st.lists(CSV_FLOATS, min_size=n, max_size=n))
-        reports.append(ResidualReport.from_grid(draw(CSV_LABELS), cols,
+        reports.append(ResidualReport.from_grid(draw(CSV_LABELS), points,
                                                 np.array(residuals, dtype=float),
-                                                1e-8))
+                                                1e-8, reads))
     return reports
 
 
@@ -957,15 +1048,16 @@ class TestCsvWriter:
         v = rng.choice(odd, 200)
         res = rng.choice(np.concatenate([odd, [np.nan, np.inf, -np.inf]]), 200)
         reports = [
-            ResidualReport.from_grid('a,"quoted" label', {"x2": x2, "v": v},
+            ResidualReport.from_grid('a,"quoted" label', Points({"x2": x2, "v": v}),
                                      res, 1e-8),
-            ResidualReport.from_grid("plain", {"v": odd, "chi": odd[::-1]},
+            ResidualReport.from_grid("plain", Points({"v": odd, "chi": odd[::-1]}),
                                      odd * -1.0, 1e-8),
-            ResidualReport.from_grid("empty", {"v": np.array([])},
+            ResidualReport.from_grid("empty", Points({"v": np.array([])}),
                                      np.array([]), 1e-8),
-            ResidualReport.from_grid("no-coords", {},
+            ResidualReport.from_grid("no-coords",
+                                     Points({"theta1": np.array([1.0, 2.0, 3.0, 4.0])}),
                                      np.array([np.nan, -0.0, 0.0, 1e-5]), 1e-8),
-            ResidualReport.from_grid("line\r\nbreak", {"x1": odd[:2]},
+            ResidualReport.from_grid("line\r\nbreak", Points({"x1": odd[:2]}),
                                      odd[:2], 1e-8),
         ]
         got = self.assert_matches_reference(tmp_path, reports).decode()
@@ -982,33 +1074,42 @@ class TestCsvWriter:
     def test_drawn_reports_match_reference(self, reports):
         with tempfile.TemporaryDirectory() as tmp:
             self.assert_matches_reference(Path(tmp), reports)
+        # each point set keeps the text of a layout once written
+        for rep in reports:
+            text = rep.points.coordinate_text(cli.CSV_COLUMNS)
+            assert text is rep.points.coordinate_text(list(cli.CSV_COLUMNS))
+            assert len(text) == rep.points.size
 
     def test_shared_coordinate_text_keeps_signed_zeros(self, tmp_path, monkeypatch):
-        v = {"v": np.array([0.0, 1.0, 2.0])}
-        signed = {"v": np.array([-0.0, 1.0, 2.0])}
+        v = Points({"v": np.array([0.0, 1.0, 2.0])})
+        signed = Points({"v": np.array([-0.0, 1.0, 2.0])})
         res = np.array([1e-3, 0.0, -0.0])
-        reports = [ResidualReport.from_grid(label, cols, res, 1e-8)
-                   for label, cols in (("a", v), ("b", v), ("c", signed),
-                                       ("d", signed), ("e", v))]
-        reports.append(ResidualReport.from_grid("f", {"x2": v["v"]}, res, 1e-8))
-        # reports keep their caller's mapping; the writer formats the
-        # coordinate text once per run of reports on the same mapping
-        assert reports[0].cols is reports[1].cols is v
-        formatted = []
-        text = ResidualReport.coordinate_text
-        monkeypatch.setattr(ResidualReport, "coordinate_text",
-                            lambda rep, columns: formatted.append(rep.equation)
-                            or text(rep, columns))
+        reports = [ResidualReport.from_grid(label, points, res, 1e-8)
+                   for label, points in (("a", v), ("b", v), ("c", signed),
+                                         ("d", signed), ("e", v))]
+        reports.append(ResidualReport.from_grid(
+            "f", Points({"x2": v.cols["v"]}), res, 1e-8))
+        # one Points builds its text once per layout, for all its reports,
+        # however they are ordered and however often they are written
+        built = []
+        text = Points._text
+        monkeypatch.setattr(Points, "_text",
+                            lambda pts, key: built.append(pts) or text(pts, key))
         got = self.assert_matches_reference(tmp_path, reports).decode()
-        assert formatted == ["a", "c", "e", "f"]
+        self.assert_matches_reference(tmp_path, reports)
+        assert built == [v, signed, reports[-1].points]
         assert "\r\nc,,,,-0.0,,,0.001\r\n" in got
         assert "\r\ne,,,,0.0,,,0.001\r\n" in got
+        v.coordinate_text(["v"])
+        assert built[-1] is v and len(built) == 4
 
     def test_reports_of_different_lengths_on_one_mapping(self, tmp_path):
-        # consecutive reports share coordinate text only with equal row counts
-        cols = {"v": 1.0}
-        reports = [ResidualReport.from_grid("one", cols, np.array([0.5]), 1e-8),
-                   ResidualReport.from_grid("three", cols,
+        # reports on different points never share text, even when their
+        # columns start alike
+        reports = [ResidualReport.from_grid("one", Points({"v": np.array([1.0])}),
+                                            np.array([0.5]), 1e-8),
+                   ResidualReport.from_grid("three",
+                                            Points({"v": np.array([1.0, 1.0, 1.0])}),
                                             np.array([1.0, -0.0, 2.0]), 1e-8)]
         got = self.assert_matches_reference(tmp_path, reports).decode()
         assert got.count("\r\nthree,,,,1.0,,,") == 3
@@ -1042,28 +1143,17 @@ class TestCsvWriter:
                          "--report", str(tmp_path / "g.csv")]) == 0
         monkeypatch.undo()
         assert len(captured) == 3
-        assert any("chi" in rep.columns for rep in captured[1])
+        assert any("chi" in rep.points.names for rep in captured[1])
         for reports in captured:
             self.assert_matches_reference(tmp_path, reports)
 
 
 @st.composite
 def axis_reports(draw):
-    """Up to three reports on one grid: a random subset of the coordinates
-    and of a name outside the CSV columns, listed in random order, some axes
-    starting at -0.0, sometimes repeated over chi samples; each report on
-    random expressions of a random subset of the grid's names, sometimes
-    with a structural zero."""
-    names = draw(st.permutations(("x1", "x2", "x3", "v", "y5", "p")))
-    spec = {n: (lo, lo + draw(st.sampled_from((1.0, 0.3, 2.5))),
-                draw(st.integers(2, 4)))
-            for n, lo in zip(names[:draw(st.integers(1, 4))],
-                             draw(st.lists(st.sampled_from((-0.0, 0.0, 0.5, -1.0)),
-                                           min_size=4, max_size=4)))}
-    grid = Grid.build(spec)
-    if draw(st.booleans()):
-        grid = grid.sampled("chi", draw(st.lists(
-            st.sampled_from((-0.0, 0.0, 0.5, 1.0)), min_size=1, max_size=3)))
+    """Up to three reports on one grid (``grids``: the coordinates and a name
+    outside the CSV columns); each report on random expressions of a random
+    subset of the grid's names, sometimes with a structural zero."""
+    grid = draw(grids())
     groups = []
     for _ in range(draw(st.integers(1, 3))):
         reads = draw(st.lists(st.sampled_from(grid.names), min_size=1, unique=True))
@@ -1087,8 +1177,12 @@ class TestAxisReports:
             want = (np.max(np.abs(rows), axis=0) if exprs
                     else np.zeros(grid.size))
             assert rep.residuals.tobytes() == want.tobytes()
-        # the reports share their grid's coordinate text
-        assert all(rep.coordinate_text(cli.CSV_COLUMNS)
-                   is grid.coordinate_text(cli.CSV_COLUMNS) for rep in reports)
+            # max_abs, mean_abs and worst_at as on the full-grid values
+            full = ResidualReport.from_grid(rep.equation, grid, want, 1e-8,
+                                            frozenset(grid.names))
+            assert (json.dumps(rep.summary_dict())
+                    == json.dumps(full.summary_dict()))
+        # the reports keep their grid, so they share its coordinate text
+        assert all(rep.points is grid for rep in reports)
         with tempfile.TemporaryDirectory() as tmp:
             TestCsvWriter().assert_matches_reference(Path(tmp), reports)

@@ -110,6 +110,26 @@ class TestGrid:
         assert list(cols["b"]) == [0.0, 1.0, 2.0] * 4
         assert not any(c.flags.writeable for c in cols.values())
 
+    def test_point_matches_the_columns(self):
+        sg = nm.Grid.build({"a": (-0.0, 1.0, 2), "b": (0.0, 2.0, 3)}).sampled(
+            "chi", [0.5, -0.0])
+        cols = sg.arrays()
+        for row in range(sg.size):
+            point = sg.point(row)
+            assert list(point) == ["a", "b", "chi"]
+            assert all(np.array([point[n]]).tobytes() == cols[n][row:row + 1].tobytes()
+                       for n in sg.names)
+
+    def test_points_need_columns_of_one_length(self):
+        for cols in ({}, {"v": np.zeros(2), "x2": np.zeros(3)}):
+            with pytest.raises(ValueError):
+                nm.Points(cols)
+        pts = nm.Points({"v": np.array([0.5, -0.0]), "p": np.zeros(2)})
+        assert pts.size == 2 and pts.names == ("v", "p")
+        assert pts.point(1) == {"v": -0.0, "p": 0.0}
+        values = np.array([1.0, 2.0])
+        assert pts.expand(values, frozenset({"v"})) is values
+
     def test_excluded_point_names_bound_values_last(self):
         sg = nm.Grid.build({"v": (0.5, 1.5, 3)}).sampled("chi", [0.0, 1.0])
         locus = ex.sub(ex.mul(ex.var("chi"), ex.var("v")), ex.var("p"))
@@ -128,7 +148,7 @@ class TestGrid:
 
 class TestResidualReport:
     def test_pass_iff_max_below_tolerance(self):
-        cols = {"v": np.array([0.0, 1.0, 2.0])}
+        cols = nm.Points({"v": np.array([0.0, 1.0, 2.0])})
         rep = nm.ResidualReport.from_grid("eq", cols,
                                           np.array([1e-12, -5e-11, 2e-13]), 1e-10)
         assert rep.passed and rep.max_abs == 5e-11
@@ -137,7 +157,7 @@ class TestResidualReport:
         assert not rep2.passed
 
     def test_summary_and_csv(self):
-        cols = {"v": np.array([0.25, 0.5])}
+        cols = nm.Points({"v": np.array([0.25, 0.5])})
         rep = nm.ResidualReport.from_grid("test-eq", cols,
                                           np.array([0.0, 1e-3]), 1e-6)
         assert rep.summary_line().startswith("EQ test-eq max=")
@@ -145,13 +165,13 @@ class TestResidualReport:
                                              "test-eq,,0.5,0.001\r\n")
 
     def test_worst_at_first_argmax(self):
-        cols = {"v": np.array([0.0, 1.0, 2.0, 3.0]),
-                "x2": np.array([5.0, 6.0, 7.0, 8.0])}
+        cols = nm.Points({"v": np.array([0.0, 1.0, 2.0, 3.0]),
+                          "x2": np.array([5.0, 6.0, 7.0, 8.0])})
         rep = nm.ResidualReport.from_grid("eq", cols,
                                           np.array([1e-3, -4e-3, 4e-3, 0.0]), 1e-6)
         assert rep.worst_at == {"v": 1.0, "x2": 6.0}
         assert rep.summary_dict()["worst_at"] == {"v": 1.0, "x2": 6.0}
-        empty = nm.ResidualReport.from_grid("eq", {"v": np.array([])},
+        empty = nm.ResidualReport.from_grid("eq", nm.Points({"v": np.array([])}),
                                             np.array([]), 1e-6)
         assert empty.summary_dict()["worst_at"] is None
 
@@ -169,7 +189,7 @@ class TestGridReport:
         g = nm.Grid.build({"v": (0.5, 1.5, 3)})
         rep = nm.grid_report("eq", [ex.sub(V, 1), ex.ZERO, ex.mul(-0.5, V)],
                              g, 0.6)
-        assert rep.columns == ("v",)
+        assert rep.points is g and rep.reads == {"v"}
         assert np.array_equal(rep.residuals, [0.5, 0.5, 0.75])
         assert not rep.passed
 
@@ -183,7 +203,7 @@ class TestGridReport:
         g = nm.Grid.build({"v": (0.5, 1.5, 3)})
         e = ex.mul(ex.var("theta1"), V)
         rep = nm.grid_report("eq", [e], g, 1.0, extra={"theta1": 2.0})
-        assert rep.columns == ("v",)
+        assert rep.points.names == ("v",) and rep.reads == {"v"}
         assert np.array_equal(rep.residuals, [1.0, 2.0, 3.0])
 
 
@@ -282,7 +302,7 @@ class TestEvalErrorLocation:
 class TestReportSerialization:
     def test_json_summary(self):
         import json as _json
-        cols = {"v": np.array([0.0, 1.0])}
+        cols = nm.Points({"v": np.array([0.0, 1.0])})
         reps = [nm.ResidualReport.from_grid("a", cols, np.array([0.0, 1e-12]),
                                             1e-10),
                 nm.ResidualReport.from_grid("b", cols, np.array([1.0, 2.0]),
