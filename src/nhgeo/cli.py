@@ -35,11 +35,11 @@ CSV_COLUMNS = ("x1", "x2", "x3", "v", "y5", "chi")
 
 
 def _write_csv(path: str, reports) -> None:
-    """Header, then the text of each report in one write."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Header, then the row blocks of each report."""
+    with ser.open_output(path) as fh:
         csv.writer(fh).writerow(["equation", *CSV_COLUMNS, "residual"])
         for rep in reports:
-            fh.write(rep.csv_rows(CSV_COLUMNS))
+            fh.writelines(rep.csv_rows(CSV_COLUMNS))
 
 
 def _summarize(reports, out=None) -> bool:
@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
     out = args.out or "verify.csv"
     _write_csv(out, reports)
     if conf.summary:
-        with open(conf.summary, "w", encoding="utf-8") as fh:
+        with ser.open_output(conf.summary) as fh:
             fh.write(reports_to_json(reports))
             fh.write("\n")
     ok = _summarize(reports)

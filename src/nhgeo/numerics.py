@@ -12,8 +12,11 @@ only path from expressions to a max-abs ResidualReport; it evaluates a
 report's expressions as one program (expr.Program) on the calling thread on
 that sub-grid, and the report keeps the values there. A report's points are
 a Grid or Points (sampled columns); the point set owns its coordinate
-columns, its CSV coordinate text (built once per column layout, a grid's
-from its axis values) and the spreading of sub-grid values to every point.
+columns, the spreading of sub-grid values to every point and its CSV text
+as head-by-tail factors: a report's CSV is one joined block per head point
+(a point of a grid's outer half of axes; Points have one head), its head
+text before each tail text of its trailer values (the head axes read by the
+residuals or placed in a later column).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import functools
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -120,27 +124,10 @@ def integrate_v(e: ex.Expr, fixed: Mapping[str, float], v0: float, v1: float,
 # point sets: grids and sampled points
 # ---------------------------------------------------------------------------
 
-class _PointSet:
-    """The CSV coordinate text of a point set, built once per layout."""
-
-    def coordinate_text(self, columns: Sequence[str]) -> list:
-        """The coordinate fields of every point under the column layout
-        ``columns``, one string per point, each field followed by a comma
-        (blank for a column that is not a coordinate)."""
-        key = tuple(columns)
-        if key not in self._texts:
-            self._texts[key] = self._text(key)
-        return self._texts[key]
-
-    @functools.cached_property
-    def _texts(self) -> dict:
-        return {}
-
-
-class Points(_PointSet):
+class Points:
     """Points given by their coordinate columns, the caller's 1-D arrays,
     shared and not copied (the oracle's random samples); a report's values
-    on them are at every point."""
+    on them are at every point, and its text is one block."""
 
     def __init__(self, cols: Mapping[str, np.ndarray]):
         # ValueError unless there are columns and they share one length
@@ -155,6 +142,26 @@ class Points(_PointSet):
 
     def expand(self, values: np.ndarray, reads: frozenset) -> np.ndarray:
         return values
+
+    def coordinate_text(self, columns: Sequence[str]) -> list:
+        """Every point's fields under the column layout ``columns``, each
+        followed by a comma (blank for a column that is not a coordinate);
+        built once per layout, for all the reports on these points."""
+        key = tuple(columns)
+        if key not in self._texts:
+            self._texts[key] = self._text(key)
+        return self._texts[key]
+
+    @functools.cached_property
+    def _texts(self) -> dict:
+        return {}
+
+    def text_factors(self, key: tuple, texts: np.ndarray, reads: frozenset) -> tuple:
+        """``(heads, codes, tails)`` as ``Grid.text_factors`` gives them: one
+        blank head and one tail list, each point's coordinate text followed
+        by its residual text."""
+        rows = self.coordinate_text(key)
+        return [""], [0], [["", *map(str.__add__, rows, texts.tolist())]]
 
     def _text(self, key: tuple) -> list:
         """The fields of all points laid out in one list, point after point,
@@ -172,7 +179,7 @@ class Points(_PointSet):
 
 
 @dataclass(frozen=True)
-class Grid(_PointSet):
+class Grid:
     """Cartesian sample grid: per-variable (min, max, count), count >= 2."""
 
     axes: tuple  # tuple of (name, lo, hi, count)
@@ -298,36 +305,47 @@ class Grid(_PointSet):
                 _, point = self._point(reads, int(np.argmax(bad)), extra)
                 raise GridExclusionError(e, point)
 
-    def _text(self, key: tuple) -> list:
-        """Each axis value is formatted once. The strings are the product of
-        a list of row prefixes and a list of row suffixes, each in turn such
-        a product, over the axes in column order; when the grid nests its
-        axes in another order, the rows are then put in the grid's C order."""
-        nest = self._nest
+    def text_factors(self, key: tuple, texts: np.ndarray, reads: frozenset) -> tuple:
+        """``(heads, codes, tails)``, the CSV text of this grid's points under
+        the layout ``key`` with the residual texts ``texts`` of the sub-grid
+        of ``reads``: the row of head point h and tail point t is
+        ``heads[h] + tails[codes[h]][t + 1]``, each axis value formatted once.
+
+        The nest axes split in half, the outer ones the head axes. heads holds
+        every head point's text of the leading columns up to the first
+        tail-axis column. The trailer axes are the head axes that ``texts``
+        reads or that have a later column; tails holds one list per
+        combination of their values: ``""``, then every tail point's text of
+        the later columns and its residual text.
+        """
+        nest, lens, half = self._nest, self.shape, len(self._nest) // 2
         pos = {name: k for k, (name, _) in enumerate(nest)}
-        parts = [[repr(x) + "," for x in nest[pos[c]][1].tolist()] if c in pos
-                 else [","] for c in key]
-        order = [pos[c] for c in key if c in pos]
-        for k, (_, vals) in enumerate(nest):
-            if k not in order:   # an axis outside the layout: no text
-                order.append(k)
-                parts.append([""] * len(vals))
-        rows = _text_product(parts)
-        if order != sorted(order):
-            rows = np.array(rows, dtype=object).reshape(
-                [len(nest[k][1]) for k in order]).transpose(np.argsort(order))
-            rows = rows.reshape(-1).tolist()
-        return rows
+        split = next((i for i, c in enumerate(key) if pos.get(c, -1) >= half), len(key))
+        trailer = {pos[c] for c in key[split:] if c in pos} | {pos[n] for n in reads}
+        rest = [n if k >= half or k in trailer else 1 for k, n in enumerate(lens)]
+
+        def field(c):  # a grid column's texts along its nest axis, else a blank
+            if c not in pos:
+                return ","
+            return np.array([repr(x) + "," for x in nest[pos[c]][1].tolist()],
+                            dtype=object).reshape(
+                [n if k == pos[c] else 1 for k, n in enumerate(lens)])
+
+        heads = _concat(map(field, key[:split]),
+                        [n if k < half else 1 for k, n in enumerate(lens)])
+        trailers = math.prod(rest[:half])
+        codes = np.broadcast_to(np.arange(trailers).reshape(rest[:half]), lens[:half])
+        tails = _concat([*map(field, key[split:]), texts.reshape(self._sub(reads)[1])],
+                        rest)
+        return (heads.reshape(-1).tolist(), codes.reshape(-1).tolist(),
+                [["", *row] for row in tails.reshape(trailers, -1).tolist()])
 
 
-def _text_product(parts: list) -> list:
-    """Every concatenation of one string from each list, in C order: the
-    product of the prefixes of the first half and the suffixes of the rest."""
-    if len(parts) == 1:
-        return parts[0]
-    half = len(parts) // 2
-    prefixes, suffixes = _text_product(parts[:half]), _text_product(parts[half:])
-    return [p + s for p in prefixes for s in suffixes]
+def _concat(parts: Iterable, shape: Sequence[int]) -> np.ndarray:
+    """The elementwise concatenation, in order, of strings and object arrays
+    that broadcast to ``shape``, as an array of that shape."""
+    return np.broadcast_to(np.asarray(functools.reduce(operator.add, parts, ""),
+                                      dtype=object), shape)
 
 
 @dataclass(frozen=True)
@@ -412,20 +430,23 @@ class ResidualReport:
             "worst_at": self.worst_at,
         }
 
-    def csv_rows(self, all_columns: Sequence[str]) -> str:
+    def csv_rows(self, all_columns: Sequence[str]) -> list:
         """The report's CSV text under a fixed column layout, one line per
-        point ("" without points); absent coordinates are blank.
+        point and no line without points; absent coordinates are blank.
+
+        The text is a list of row blocks, one per head point of the point
+        set (``text_factors``): each is one join of a tail list with the
+        label and head text, so no string holds another head's lines.
 
         Lines end in CRLF, the label is quoted by the ``csv`` module's rules
         and floats are ``repr`` text: the point set's coordinate text, and
         each distinct float64 bit pattern of the values formatted once (so
-        -0.0 and 0.0 keep their own text) and spread to every point.
+        -0.0 and 0.0 keep their own text).
         """
-        pieces = [_csv_field(self.equation) + ","] * (3 * self.points.size)
-        pieces[1::3] = self.points.coordinate_text(all_columns)
-        texts = _float_texts(self.values, "\r\n")
-        pieces[2::3] = self.points.expand(texts, self.reads).tolist()
-        return "".join(pieces)
+        label = _csv_field(self.equation) + ","
+        heads, codes, tails = self.points.text_factors(
+            tuple(all_columns), _float_texts(self.values, "\r\n"), self.reads)
+        return [(label + h).join(tails[c]) for h, c in zip(heads, codes)]
 
 
 def _csv_field(text: str) -> str:

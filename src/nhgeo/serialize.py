@@ -474,7 +474,16 @@ def load_json(path: str) -> dict:
     return doc
 
 
+def open_output(path: str):
+    """``path`` opened for writing text as given; a path that cannot be
+    written is a configuration error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err.strerror or err}") from None
+
+
 def dump_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

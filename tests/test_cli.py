@@ -729,6 +729,35 @@ def run_with(tmp_path, command, path, value):
 DEFORM = ("steps", 1, "polarizations")
 
 
+class TestOutputPaths:
+    """An output that cannot be written is a configuration error naming the
+    path (exit 2), for every file a command writes."""
+
+    @pytest.mark.parametrize("case", ["generate", "verify", "verify-dir",
+                                      "verify-summary", "flow", "geroch",
+                                      "geroch-report"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, case):
+        command = case.split("-")[0]
+        cfg = command_configs()[command]
+        bad, reason = str(tmp_path / "no-dir" / "out"), "No such file or directory"
+        if case == "verify-dir":
+            bad, reason = str(tmp_path), "Is a directory"
+        if case == "verify-summary":
+            cfg = {**cfg, "summary": bad}
+        outs = {"verify-summary": ["--out", str(tmp_path / "v.csv")],
+                "geroch-report": ["--out", str(tmp_path / "t.json"), "--report", bad],
+                }.get(case, ["--out", bad])
+        argv = [command, "--config", write(tmp_path, "cfg.json", cfg), *outs]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {bad!r}: {reason}\n"
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such.json")
+        assert cli.main(["verify", "--config", missing]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: no such file: {missing}\n"
+
+
 class TestMalformedFields:
     """A field of the wrong type, or one that does not convert, exits 2 with
     one config error naming it, before anything is computed or written."""
@@ -990,9 +1019,9 @@ def grids(draw, names=("x1", "x2", "x3", "v", "y5", "p")):
     names = draw(st.permutations(names))
     spec = {n: (lo, lo + draw(st.sampled_from((1.0, 0.3, 2.5))),
                 draw(st.integers(2, 4)))
-            for n, lo in zip(names[:draw(st.integers(1, 4))],
+            for n, lo in zip(names[:draw(st.integers(1, 5))],
                              draw(st.lists(st.sampled_from((-0.0, 0.0, 0.5, -1.0)),
-                                           min_size=4, max_size=4)))}
+                                           min_size=5, max_size=5)))}
     grid = Grid.build(spec)
     if draw(st.booleans()):
         grid = grid.sampled("chi", draw(st.lists(
@@ -1017,16 +1046,18 @@ def report_runs(draw):
             column = st.lists(CSV_FLOATS, min_size=n, max_size=n).map(
                 lambda xs: np.array(xs, dtype=float))
             points = Points({c: draw(column) for c in draw(st.lists(
-                st.sampled_from((*cli.CSV_COLUMNS, "p")), min_size=1, unique=True))})
+                st.sampled_from((*cli.CSV_COLUMNS, "p")), min_size=1, max_size=3,
+                unique=True))})
         reads, n = frozenset(), points.size
         if isinstance(points, Grid):
             reads = frozenset(draw(st.lists(st.sampled_from(points.names), unique=True)))
             counts = dict(zip([name for name, _ in points._nest], points.shape))
             n = math.prod(counts[name] for name in reads)
-        residuals = draw(st.lists(CSV_FLOATS, min_size=n, max_size=n))
+        # up to 12 drawn values, repeated cyclically over the points
+        residuals = np.array(draw(st.lists(CSV_FLOATS, min_size=min(n, 1),
+                                           max_size=min(n, 12))), dtype=float)
         reports.append(ResidualReport.from_grid(draw(CSV_LABELS), points,
-                                                np.array(residuals, dtype=float),
-                                                1e-8, reads))
+                                                np.resize(residuals, n), 1e-8, reads))
     return reports
 
 
@@ -1064,21 +1095,51 @@ class TestCsvWriter:
         assert '\r\n"a,""quoted"" label",,' in got
         assert "\r\nno-coords,,,,,,,nan\r\n" in got
         assert "empty" not in got
-        text = reports[0].csv_rows(cli.CSV_COLUMNS)
-        assert text.count("\r\n") == 200 and text.endswith("\r\n")
-        assert got.split("\r\n", 1)[1].startswith(text)
-        assert reports[2].csv_rows(cli.CSV_COLUMNS) == ""
+        blocks = reports[0].csv_rows(cli.CSV_COLUMNS)
+        assert isinstance(blocks, list) and len(blocks) == 1
+        assert blocks[0].count("\r\n") == 200 and blocks[0].endswith("\r\n")
+        assert got.split("\r\n", 1)[1].startswith(blocks[0])
+        assert "".join(reports[2].csv_rows(cli.CSV_COLUMNS)) == ""
 
     @settings(max_examples=150, deadline=None)
     @given(report_runs())
     def test_drawn_reports_match_reference(self, reports):
         with tempfile.TemporaryDirectory() as tmp:
             self.assert_matches_reference(Path(tmp), reports)
-        # each point set keeps the text of a layout once written
         for rep in reports:
-            text = rep.points.coordinate_text(cli.CSV_COLUMNS)
-            assert text is rep.points.coordinate_text(list(cli.CSV_COLUMNS))
-            assert len(text) == rep.points.size
+            blocks = rep.csv_rows(cli.CSV_COLUMNS)
+            if isinstance(rep.points, Points):
+                # one block, from the text the points keep per layout
+                text = rep.points.coordinate_text(cli.CSV_COLUMNS)
+                assert text is rep.points.coordinate_text(list(cli.CSV_COLUMNS))
+                assert len(text) == rep.points.size and len(blocks) == 1
+            else:  # one block per point of the outer half of the nest axes
+                shape = rep.points.shape
+                assert len(blocks) == math.prod(shape[:len(shape) // 2])
+
+    def test_blocks_of_a_large_grid_are_short(self):
+        # no string holds more than a tenth of a 10^4 x 4 report's rows,
+        # whichever axes its values read
+        grid = Grid.build({**{n: (0.5, 1.5, 10) for n in ("x1", "x2", "x3", "v")},
+                           "y5": (0.5, 1.5, 4)})
+        for reads in ((), ("x2",), ("v",), ("x1", "v"), grid.names):
+            n = math.prod(10 if name != "y5" else 4 for name in reads)
+            rep = ResidualReport.from_grid("eq", grid, np.linspace(0.0, 1.0, n),
+                                           1e-8, frozenset(reads))
+            blocks = rep.csv_rows(cli.CSV_COLUMNS)
+            assert sum(b.count("\r\n") for b in blocks) == grid.size
+            assert max(b.count("\r\n") for b in blocks) <= grid.size // 10
+
+    def test_joined_blocks_of_a_report_reading_every_axis(self, tmp_path):
+        grid = Grid.build({"v": (-0.0, 1.0, 3), "x2": (0.5, 1.5, 4),
+                           "p": (0.0, 1.0, 2), "x1": (-1.0, 0.0, 2)}
+                          ).sampled("chi", (0.0, -0.0))
+        values = np.random.default_rng(3).normal(size=grid.size)
+        values[::7] = -0.0
+        rep = ResidualReport.from_grid("all", grid, values, 1e-8,
+                                       frozenset(grid.names))
+        got = self.assert_matches_reference(tmp_path, [rep]).decode()
+        assert "".join(rep.csv_rows(cli.CSV_COLUMNS)) == got.split("\r\n", 1)[1]
 
     def test_shared_coordinate_text_keeps_signed_zeros(self, tmp_path, monkeypatch):
         v = Points({"v": np.array([0.0, 1.0, 2.0])})

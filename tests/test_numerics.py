@@ -161,8 +161,8 @@ class TestResidualReport:
         rep = nm.ResidualReport.from_grid("test-eq", cols,
                                           np.array([0.0, 1e-3]), 1e-6)
         assert rep.summary_line().startswith("EQ test-eq max=")
-        assert rep.csv_rows(["x2", "v"]) == ("test-eq,,0.25,0.0\r\n"
-                                             "test-eq,,0.5,0.001\r\n")
+        assert rep.csv_rows(["x2", "v"]) == ["test-eq,,0.25,0.0\r\n"
+                                             "test-eq,,0.5,0.001\r\n"]
 
     def test_worst_at_first_argmax(self):
         cols = nm.Points({"v": np.array([0.0, 1.0, 2.0, 3.0]),
