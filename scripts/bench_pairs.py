@@ -12,10 +12,11 @@ in odd ones. The result of a run is its last output line. The summary gives,
 per workload and end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side, the change's median relative to the parent's and the
 number of pairs in which the change did better; a claimed metric is met
-when the change did better in nine tenths of the pairs and the medians
-differ by more than the parent's quartile spread. It also reports the minor
-page faults per operation of each run's process (set-ups included), which is
-not one of the benchmark's metrics.
+when the change did better in nine tenths of the pairs, the medians differ
+by more than the parent's quartile spread, every change run is correct and
+the change failed no more operations than the parent. It also reports the
+minor page faults per operation of each run's process (set-ups included),
+which is not one of the benchmark's metrics.
 """
 
 import argparse
@@ -74,8 +75,10 @@ def summarize(runs):
         by = {(r["seed"], r["side"]): r for r in mine}
         pairs = [{side: by[s, side] for side in SIDES} for s in seeds]
         entry = {"seeds": f"{seeds[0]}-{seeds[-1]}",
-                 "correct_all": all(r["result"]["correct"] for r in mine),
-                 "failed": sum(r["result"]["failed"] for r in mine)}
+                 "correct_all": {side: all(p[side]["result"]["correct"] for p in pairs)
+                                 for side in SIDES},
+                 "failed": {side: sum(p[side]["result"]["failed"] for p in pairs)
+                            for side in SIDES}}
         for metric in SPEC["end_to_end"]:
             name = metric["name"]
             entry[name] = compare(
@@ -88,12 +91,16 @@ def summarize(runs):
     return summary
 
 
-def claim_met(entry):
-    """The gain rule: the change did better in at least nine tenths of the
-    pairs, and the medians differ by more than the parent's quartile spread."""
-    parent = entry["parent"]
-    return (entry["change_better_pairs"] >= 0.9 * entry["pairs"]
-            and abs(entry["change"]["median"] - parent["median"])
+def claim_met(entry, metric):
+    """The gain rule for ``metric`` of a workload's summary ``entry``: every
+    change run is correct, the change failed no more operations than the
+    parent, it did better in at least nine tenths of the pairs, and the
+    medians differ by more than the parent's quartile spread."""
+    m, parent = entry[metric], entry[metric]["parent"]
+    return (entry["correct_all"]["change"]
+            and entry["failed"]["change"] <= entry["failed"]["parent"]
+            and m["change_better_pairs"] >= 0.9 * m["pairs"]
+            and abs(m["change"]["median"] - parent["median"])
             > parent["q3"] - parent["q1"])
 
 
@@ -124,7 +131,7 @@ def main(argv=None):
     if args.claim:
         workload, metric = args.claim.split(":")
         claim = {"workload": workload, "metric": metric,
-                 "met": claim_met(summary[workload][metric])}
+                 "met": claim_met(summary[workload], metric)}
     doc = {"label": args.label, "change": args.note, "claim": claim,
            "command": f"python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {seconds} --trace 0",

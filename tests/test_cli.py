@@ -1002,13 +1002,21 @@ def reference_csv(path, reports):
 
 
 # float columns with the values whose text is easy to get wrong
-CSV_FLOATS = st.one_of(
-    st.sampled_from((-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16)),
-    st.floats())
+SPECIAL_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16)
 # labels that need quoting: a comma, a double quote, CR and LF
 CSV_LABELS = st.text(st.one_of(st.sampled_from(',"\r\n'),
                                st.characters(min_codepoint=32, max_codepoint=0x17F)),
                      max_size=6)
+
+
+def csv_floats(seed, n):
+    """``n`` independent floats from ``seed``, without one draw per value:
+    about half SPECIAL_FLOATS, the others random float64 bit patterns (NaN
+    payloads and subnormals among them)."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float)
+    return np.where(rng.random(n) < 0.5,
+                    rng.choice(np.array(SPECIAL_FLOATS), n), bits)
 
 
 @st.composite
@@ -1034,7 +1042,7 @@ def report_runs(draw):
     """Up to four reports, each on a grid (values on the sub-grid of random
     axes) or on Points (random columns of CSV floats, some with no points,
     some columns outside the CSV layout), some on the previous report's
-    points."""
+    points; each report's values are independent csv_floats."""
     reports = []
     for _ in range(draw(st.integers(0, 4))):
         if reports and draw(st.booleans()):
@@ -1042,22 +1050,18 @@ def report_runs(draw):
         elif draw(st.booleans()):
             points = draw(grids())
         else:
-            n = draw(st.integers(0, 12))
-            column = st.lists(CSV_FLOATS, min_size=n, max_size=n).map(
-                lambda xs: np.array(xs, dtype=float))
-            points = Points({c: draw(column) for c in draw(st.lists(
-                st.sampled_from((*cli.CSV_COLUMNS, "p")), min_size=1, max_size=3,
-                unique=True))})
+            n, seed = draw(st.integers(0, 12)), draw(st.integers(0, 2 ** 32 - 1))
+            points = Points({c: csv_floats(seed + k, n) for k, c in enumerate(draw(
+                st.lists(st.sampled_from((*cli.CSV_COLUMNS, "p")), min_size=1,
+                         unique=True)))})
         reads, n = frozenset(), points.size
         if isinstance(points, Grid):
             reads = frozenset(draw(st.lists(st.sampled_from(points.names), unique=True)))
             counts = dict(zip([name for name, _ in points._nest], points.shape))
             n = math.prod(counts[name] for name in reads)
-        # up to 12 drawn values, repeated cyclically over the points
-        residuals = np.array(draw(st.lists(CSV_FLOATS, min_size=min(n, 1),
-                                           max_size=min(n, 12))), dtype=float)
+        residuals = csv_floats(draw(st.integers(0, 2 ** 32 - 1)), n)
         reports.append(ResidualReport.from_grid(draw(CSV_LABELS), points,
-                                                np.resize(residuals, n), 1e-8, reads))
+                                                residuals, 1e-8, reads))
     return reports
 
 

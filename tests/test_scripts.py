@@ -66,13 +66,23 @@ def test_bench_pairs_summary_of_canned_runs():
              "result": json.loads(line % fields)}
             for (side, seed), fields in canned.items()]
     got = bench.summarize(runs)["grid-verify"]
-    assert got["seeds"] == "1-3" and got["correct_all"] is False and got["failed"] == 2
+    assert got["seeds"] == "1-3"
+    assert got["correct_all"] == {"parent": True, "change": False}
+    assert got["failed"] == {"parent": 0, "change": 2}
     op = got["op_p50_s"]
     assert op["parent"] == pytest.approx({"median": 0.05, "q1": 0.045, "q3": 0.055})
     assert op["change"] == pytest.approx({"median": 0.025, "q1": 0.0225, "q3": 0.0275})
     assert op["change_relative"] == pytest.approx(-0.5)
     assert op["change_better_pairs"] == 3 and op["pairs"] == 3
-    assert bench.claim_met(op) and not bench.claim_met(got["ops_per_s"])
+    # op_p50_s would be met, but a change run failed and was not correct
+    assert not bench.claim_met(got, "op_p50_s")
+    for correct, failed in ((True, {"parent": 0, "change": 2}),
+                            (False, {"parent": 2, "change": 2})):
+        assert not bench.claim_met(dict(got, correct_all={"change": correct},
+                                        failed=failed), "op_p50_s")
+    clean = dict(got, correct_all={"parent": True, "change": True},
+                 failed={"parent": 2, "change": 2})
+    assert bench.claim_met(clean, "op_p50_s") and not bench.claim_met(clean, "ops_per_s")
     # higher is better for ops_per_s; a tie is not a better pair
     assert got["ops_per_s"]["change_better_pairs"] == 2
     assert got["setup_s"]["change_better_pairs"] == 0
